@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from time import perf_counter
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..api.entities import Application, Experiment, Trial
 from ..model import ColumnarTrial, DataSource
 from ..model.derived_expr import evaluate_metric_expression, metric_names_in
 from ..schema.manager import SchemaManager
-from .datasession import DataSession
+from .datasession import DataSession, _entity_id
 
 _ILP_COLUMNS = (
     "interval_event, node, context, thread, metric, inclusive, "
@@ -99,27 +99,45 @@ class PerfDMFSession(DataSession):
             for row in rows
         ]
 
-    def get_experiment_list(self) -> list[Experiment]:
+    def get_experiment_list(
+        self, application: Application | int | None = None
+    ) -> list[Experiment]:
+        """Experiments of ``application``, else of the selected one.
+
+        Passing the filter leaves the shared selection untouched, so
+        concurrent callers of one session cannot see each other's."""
         columns = self.connection.column_names("experiment")
         sql = f"SELECT {', '.join(columns)} FROM experiment"
         params: list[Any] = []
-        if self.selection.application_id is not None:
+        app_id = (
+            _entity_id(application) if application is not None
+            else self.selection.application_id
+        )
+        if app_id is not None:
             sql += " WHERE application = ?"
-            params.append(self.selection.application_id)
+            params.append(app_id)
         sql += " ORDER BY id"
         return [
             Experiment.from_row(self.connection, columns, row)  # type: ignore[misc]
             for row in self.connection.query(sql, params)
         ]
 
-    def get_trial_list(self) -> list[Trial]:
+    def get_trial_list(
+        self, experiment: Experiment | int | None = None
+    ) -> list[Trial]:
+        """Trials of ``experiment``, else of the selected experiment or
+        application (see :meth:`get_experiment_list`)."""
         columns = self.connection.column_names("trial")
         sql = f"SELECT {', '.join(columns)} FROM trial"
         params: list[Any] = []
         conditions = []
-        if self.selection.experiment_id is not None:
+        exp_id = (
+            _entity_id(experiment) if experiment is not None
+            else self.selection.experiment_id
+        )
+        if exp_id is not None:
             conditions.append("experiment = ?")
-            params.append(self.selection.experiment_id)
+            params.append(exp_id)
         elif self.selection.application_id is not None:
             conditions.append(
                 "experiment IN (SELECT id FROM experiment WHERE application = ?)"
@@ -555,22 +573,17 @@ class PerfDMFSession(DataSession):
             event = source.add_interval_event(name, group_name or "TAU_DEFAULT")
             event.db_id = db_id
             event_index[db_id] = event
-        profile_rows = self.connection.query(
-            "SELECT p.interval_event, p.node, p.context, p.thread, p.metric, "
-            "p.inclusive, p.exclusive, p.num_calls, p.num_subrs "
-            "FROM interval_location_profile p "
-            "JOIN interval_event e ON p.interval_event = e.id WHERE e.trial = ?",
-            (trial_id,),
-        )
-        for event_id, node, ctx, thr, metric_id, inc, exc, calls, subrs in profile_rows:
-            thread = source.add_thread(node, ctx, thr)
-            profile = thread.get_or_create_function_profile(event_index[event_id])
+        location_rows = self._read_location_rows(metric_index)
+        for metric_id, rows in zip(metric_index, location_rows):
             m = metric_index[metric_id]
-            profile.set_inclusive(m, inc)
-            profile.set_exclusive(m, exc)
-            if m == 0:
-                profile.calls = calls
-                profile.subroutines = subrs
+            for event_id, node, ctx, thr, inc, exc, calls, subrs in rows:
+                thread = source.add_thread(node, ctx, thr)
+                profile = thread.get_or_create_function_profile(event_index[event_id])
+                profile.set_inclusive(m, inc)
+                profile.set_exclusive(m, exc)
+                if m == 0:
+                    profile.calls = calls
+                    profile.subroutines = subrs
         atomic_rows = self.connection.query(
             "SELECT id, name, group_name FROM atomic_event WHERE trial = ? ORDER BY id",
             (trial_id,),
@@ -600,10 +613,13 @@ class PerfDMFSession(DataSession):
     def load_columnar(self, trial: Trial | int | None = None) -> ColumnarTrial:
         """Materialise a stored trial as a :class:`ColumnarTrial`.
 
-        The vectorised twin of :meth:`load_datasource`: rows land
-        directly in numpy arrays instead of per-profile objects, which
-        is ~20× faster and far smaller at the paper's 1.6M-data-point
-        scale.  PerfExplorer's clustering consumes this form natively.
+        The vectorised twin of :meth:`load_datasource`, read through
+        the same per-metric probes: rows land directly in numpy arrays
+        instead of per-profile objects, which is far faster and smaller
+        at the paper's 1.6M-data-point scale.  Threads and events keep
+        :meth:`load_datasource`'s order (threads as they first appear,
+        events by id), so per-thread vectors line up with its objects.
+        PerfExplorer's analyses consume this form.
         """
         trial_id = self._selected_trial_id(trial)
         conn = self.connection
@@ -617,50 +633,51 @@ class PerfDMFSession(DataSession):
             (trial_id,),
         )
         if not metric_rows or not event_rows:
+            if conn.scalar(
+                "SELECT count(*) FROM trial WHERE id = ?", (trial_id,)
+            ) == 0:
+                raise LookupError(f"no trial id {trial_id} in this database")
             raise ValueError(f"trial {trial_id} has no stored profile data")
-        metric_pos = {db_id: i for i, (db_id, _n) in enumerate(metric_rows)}
         event_pos = {db_id: i for i, (db_id, _n, _g) in enumerate(event_rows)}
-
-        triples = conn.query(
-            "SELECT DISTINCT p.node, p.context, p.thread "
-            "FROM interval_location_profile p "
-            "JOIN interval_event e ON p.interval_event = e.id "
-            "WHERE e.trial = ? ORDER BY p.node, p.context, p.thread",
-            (trial_id,),
-        )
-        thread_pos = {triple: i for i, triple in enumerate(triples)}
+        thread_pos: dict[tuple, int] = {}
+        blocks = []
+        for rows in self._read_location_rows([r[0] for r in metric_rows]):
+            t_index = [thread_pos.setdefault(r[1:4], len(thread_pos)) for r in rows]
+            e_index = [event_pos[r[0]] for r in rows]
+            values = np.asarray(rows, dtype=np.float64).reshape(-1, 8)
+            blocks.append((t_index, e_index, values))
         columnar = ColumnarTrial.allocate(
             event_names=[r[1] for r in event_rows],
             metric_names=[r[1] for r in metric_rows],
-            thread_triples=np.asarray(triples, dtype=np.int32).reshape(-1, 3),
+            thread_triples=list(thread_pos),
             event_groups=[r[2] or "TAU_DEFAULT" for r in event_rows],
         )
-        rows = conn.query(
-            "SELECT p.interval_event, p.node, p.context, p.thread, p.metric, "
-            "p.inclusive, p.exclusive, p.num_calls, p.num_subrs "
-            "FROM interval_location_profile p "
-            "JOIN interval_event e ON p.interval_event = e.id WHERE e.trial = ?",
-            (trial_id,),
-        )
-        data = np.asarray(rows, dtype=np.float64)
-        event_ids = data[:, 0].astype(np.int64)
-        metric_ids = data[:, 4].astype(np.int64)
-        e_index = np.array([event_pos[i] for i in event_ids])
-        m_index = np.array([metric_pos[i] for i in metric_ids])
-        t_index = np.array(
-            [
-                thread_pos[(int(n), int(c), int(t))]
-                for n, c, t in data[:, 1:4].astype(np.int64)
-            ]
-        )
-        for m in range(columnar.num_metrics):
-            mask = m_index == m
-            columnar.inclusive[m][t_index[mask], e_index[mask]] = data[mask, 5]
-            columnar.exclusive[m][t_index[mask], e_index[mask]] = data[mask, 6]
+        for m, (t_index, e_index, values) in enumerate(blocks):
+            columnar.inclusive[m][t_index, e_index] = values[:, 4]
+            columnar.exclusive[m][t_index, e_index] = values[:, 5]
             if m == 0:
-                columnar.calls[t_index[mask], e_index[mask]] = data[mask, 7]
-                columnar.subroutines[t_index[mask], e_index[mask]] = data[mask, 8]
+                columnar.calls[t_index, e_index] = values[:, 6]
+                columnar.subroutines[t_index, e_index] = values[:, 7]
         return columnar
+
+    def _read_location_rows(self, metric_ids: Iterable[int]) -> Iterator[list[tuple]]:
+        """Each metric's interval_location_profile rows, one probe each.
+
+        A metric id belongs to exactly one trial, so ``WHERE metric = ?``
+        reads exactly that trial's rows through ``idx_ilp_metric``: no
+        JOIN against interval_event and no scan of other trials' rows.
+        Rows come metric by metric, each in rowid (insertion) order —
+        the order a scan of the whole table meets a trial's rows in.
+        Row shape: (event id, node, context, thread, inclusive,
+        exclusive, calls, subroutines).
+        """
+        for metric_id in metric_ids:
+            yield self.connection.query(
+                "SELECT interval_event, node, context, thread, inclusive, "
+                "exclusive, num_calls, num_subrs "
+                "FROM interval_location_profile WHERE metric = ?",
+                (metric_id,),
+            )
 
     # ------------------------------------------------------------------ derived --
 

@@ -45,10 +45,10 @@ class FileDataSession(DataSession):
     def get_application_list(self) -> list[dict[str, Any]]:  # type: ignore[override]
         return [{"id": 0, "name": self.application_name}]
 
-    def get_experiment_list(self) -> list[dict[str, Any]]:  # type: ignore[override]
+    def get_experiment_list(self, application=None) -> list[dict[str, Any]]:  # type: ignore[override]
         return [{"id": 0, "name": self.experiment_name, "application": 0}]
 
-    def get_trial_list(self) -> list[dict[str, Any]]:  # type: ignore[override]
+    def get_trial_list(self, experiment=None) -> list[dict[str, Any]]:  # type: ignore[override]
         return [
             {
                 "id": 0,

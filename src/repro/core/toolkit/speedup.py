@@ -4,9 +4,9 @@
 processors, the tool automatically calculates the minimum, mean and
 maximum values for the speedup [of] every profiled routine."*
 
-Inputs are (processor count, DataSource) pairs; speedups are computed
-per routine against the smallest processor count as the baseline, using
-per-thread inclusive times:
+Inputs are (processor count, DataSource or ColumnarTrial) pairs;
+speedups are computed per routine against the smallest processor count
+as the baseline, using per-thread inclusive times:
 
 * min speedup  = base_time / max-over-threads(time)  (slowest thread)
 * max speedup  = base_time / min-over-threads(time)  (fastest thread)
@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..model import DataSource
-from .stats import event_values
+from ..model import ColumnarTrial, DataSource
+from .stats import event_values, thread_durations, trial_event_names
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,11 @@ class SpeedupAnalyzer:
     def __init__(self, metric: int = 0, inclusive: bool = True):
         self.metric = metric
         self.inclusive = inclusive
-        self._trials: dict[int, DataSource] = {}
+        self._trials: dict[int, DataSource | ColumnarTrial] = {}
 
-    def add_trial(self, processors: int, source: DataSource) -> None:
+    def add_trial(
+        self, processors: int, source: DataSource | ColumnarTrial
+    ) -> None:
         if processors in self._trials:
             raise ValueError(f"trial for P={processors} already added")
         self._trials[processors] = source
@@ -85,7 +87,7 @@ class SpeedupAnalyzer:
         if not self._trials:
             return []
         baseline = self._trials[self.processor_counts[0]]
-        return list(baseline.interval_events)
+        return trial_event_names(baseline)
 
     def analyze(self, events: Optional[list[str]] = None) -> list[RoutineSpeedup]:
         """Speedup curves for every (or the given) profiled routine."""
@@ -136,17 +138,11 @@ class SpeedupAnalyzer:
         counts = self.processor_counts
         if len(counts) < 2:
             raise ValueError("need trials at >= 2 processor counts")
-        base = self._trials[counts[0]]
-        base_durations = np.array(
-            [t.max_inclusive(self.metric) for t in base.all_threads()]
-        )
+        base_durations = thread_durations(self._trials[counts[0]], self.metric)
         base_time = float(base_durations.mean())
         points = []
         for p in counts:
-            source = self._trials[p]
-            durations = np.array(
-                [t.max_inclusive(self.metric) for t in source.all_threads()]
-            )
+            durations = thread_durations(self._trials[p], self.metric)
             points.append(
                 SpeedupPoint(
                     processors=p,

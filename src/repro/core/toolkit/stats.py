@@ -11,11 +11,14 @@ data-management code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
 
 from ..model import ColumnarTrial, DataSource
+from ..model.group import split_groups
 
 
 @dataclass(frozen=True)
@@ -36,10 +39,36 @@ class EventStatistics:
         return self.maximum / self.mean if self.mean > 0 else 1.0
 
 
+def trial_event_names(source: DataSource | ColumnarTrial) -> list[str]:
+    """The trial's interval event names, in event order."""
+    if isinstance(source, ColumnarTrial):
+        return list(source.event_names)
+    return list(source.interval_events)
+
+
+def _metric_matrix(
+    source: ColumnarTrial, metric: int, inclusive: bool
+) -> np.ndarray:
+    """One metric's (threads × events) values.  A trial with no threads
+    gives an empty matrix for any metric index, as a DataSource with no
+    threads never looks its metric up."""
+    if not source.num_threads:
+        return np.zeros((0, source.num_events))
+    return source.inclusive[metric] if inclusive else source.exclusive[metric]
+
+
 def event_values(
-    source: DataSource, event_name: str, metric: int = 0, inclusive: bool = False
+    source: DataSource | ColumnarTrial,
+    event_name: str,
+    metric: int = 0,
+    inclusive: bool = False,
 ) -> np.ndarray:
     """Per-thread values of one event (0.0 where the event never ran)."""
+    if isinstance(source, ColumnarTrial):
+        if event_name not in source.event_names:
+            raise KeyError(f"no such interval event: {event_name}")
+        matrix = _metric_matrix(source, metric, inclusive)
+        return matrix[:, source.event_names.index(event_name)].copy()
     event = source.get_interval_event(event_name)
     if event is None:
         raise KeyError(f"no such interval event: {event_name}")
@@ -111,9 +140,7 @@ def thread_metric_matrix(
     The input shape for PerfExplorer's clustering (§5.3).
     """
     if isinstance(source, ColumnarTrial):
-        matrix = (
-            source.inclusive[metric] if inclusive else source.exclusive[metric]
-        )
+        matrix = _metric_matrix(source, metric, inclusive)
         return matrix.copy(), list(source.event_names)
     names = list(source.interval_events)
     matrix = np.zeros((source.num_threads, len(names)))
@@ -131,8 +158,29 @@ def thread_metric_matrix(
     return matrix, names
 
 
-def group_breakdown(source: DataSource, metric: int = 0) -> dict[str, float]:
-    """Total exclusive value per event group (compute/MPI/IO/...)."""
+def group_breakdown(
+    source: DataSource | ColumnarTrial, metric: int = 0
+) -> dict[str, float]:
+    """Total exclusive value per event group (compute/MPI/IO/...).
+
+    Values are added thread by thread, each thread's events in order, so
+    a stored trial gives bit-identical totals in either representation.
+    A :class:`ColumnarTrial` is dense — every (thread, event) cell counts
+    as profiled, as every stored row does — so its groups are absent
+    only when it has no threads.
+    """
+    if isinstance(source, ColumnarTrial):
+        if not source.num_threads:
+            return {}
+        members: dict[str, list[int]] = {}
+        for e, spec in enumerate(source.event_groups):
+            for g in split_groups(spec):
+                members.setdefault(g, []).append(e)
+        exclusive = source.exclusive[metric]
+        return {
+            g: reduce(add, exclusive[:, events].ravel().tolist(), 0.0)
+            for g, events in members.items()
+        }
     totals: dict[str, float] = {}
     for thread in source.all_threads():
         for profile in thread.function_profiles.values():
@@ -141,11 +189,21 @@ def group_breakdown(source: DataSource, metric: int = 0) -> dict[str, float]:
     return totals
 
 
-def load_imbalance(source: DataSource, metric: int = 0) -> float:
+def thread_durations(
+    source: DataSource | ColumnarTrial, metric: int = 0
+) -> np.ndarray:
+    """Per-thread run duration: each thread's largest inclusive value
+    (TAU's 100% reference, 0.0 for a thread with no profiles)."""
+    if isinstance(source, ColumnarTrial):
+        return np.fmax.reduce(
+            _metric_matrix(source, metric, True), axis=1, initial=0.0
+        )
+    return np.array([t.max_inclusive(metric) for t in source.all_threads()])
+
+
+def load_imbalance(source: DataSource | ColumnarTrial, metric: int = 0) -> float:
     """Trial-level imbalance: max/mean of per-thread run duration."""
-    durations = np.array(
-        [t.max_inclusive(metric) for t in source.all_threads()]
-    )
+    durations = thread_durations(source, metric)
     if len(durations) == 0 or durations.mean() == 0:
         return 1.0
     return float(durations.max() / durations.mean())

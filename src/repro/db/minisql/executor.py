@@ -217,7 +217,12 @@ class Executor:
                 splan = self._compiled_select(inner)
             except Exception:
                 splan = None
-            vector = splan.vector if splan is not None else None
+            # An ordered index walk streams through the row path (so an
+            # ORDER BY ... LIMIT stops early); the vector plan never runs.
+            vector = (
+                splan.vector
+                if splan is not None and not plan.ordered else None
+            )
 
             def flag(section_compiled: bool) -> str:
                 return "yes" if splan is not None and section_compiled else "no"
@@ -1980,20 +1985,24 @@ class Executor:
 
     def _vector_select(
         self, stmt: Select, plan: SelectPlan, table: Table,
-        params: Sequence[Any],
+        params: Sequence[Any], slots: Optional[Sequence[int]] = None,
     ) -> Optional[tuple[list[str], list[tuple[Any, ...]]]]:
-        """Run the vector plan, or None to fall back (atomic contract:
-        impure column, empty relation, or any mid-flight error routes the
-        whole statement to the compact/row path, which reproduces errors
-        with canonical per-row semantics)."""
+        """Run the vector plan over every live row, or over ``slots``
+        when an index probe selected them, or return None to fall back
+        (atomic contract: impure column, empty relation, or any
+        mid-flight error routes the whole statement to the compact/row
+        path, which reproduces errors with canonical per-row semantics)."""
         vp = plan.vector
-        n = table.live_count
+        n = table.live_count if slots is None else len(slots)
         if n == 0:
             return None
         for p in vp.checked:
             if not table.column_pure(p):
                 return None
-        cols = [table.column_values(p) for p in vp.positions]
+        if slots is None:
+            cols = [table.column_values(p) for p in vp.positions]
+        else:
+            cols = [table.column_gather(p, slots) for p in vp.positions]
         sel: Optional[list[int]] = None  # None = every row selected
         if vp.where_fn is not None:
             mask = vp.where_fn(cols, n, params)
@@ -2140,9 +2149,9 @@ class Executor:
     ) -> Optional[tuple[list[str], list[tuple[Any, ...]]]]:
         """Batched scan → filter → project/aggregate over compacted rows.
 
-        Only runs when the access planner picks a full scan (index paths
-        keep the row-at-a-time pipeline, which they dominate anyway);
-        returns None to route back there.
+        Runs when the access planner picks a full scan; an index access
+        path goes to :meth:`_vector_probe` instead.  Returns None to
+        route back to the row-at-a-time pipeline.
         """
         table = self.database.table(stmt.table.name)
         conjuncts = _conjuncts(stmt.where)
@@ -2152,7 +2161,7 @@ class Executor:
             _select_alias_names(stmt),
         )
         if access.kind != "scan":
-            return None
+            return self._vector_probe(stmt, plan, table, access, params)
         compact = plan.compact
         stats = self.database.stats
         stats["full_scans"] += 1
@@ -2223,6 +2232,48 @@ class Executor:
             )
             projected = [projected[i] for _, i in paired]
         return plan.columns, projected
+
+    def _vector_probe(
+        self, stmt: Select, plan: SelectPlan, table: Table,
+        access: "_AccessPlan", params: Sequence[Any],
+    ) -> Optional[tuple[list[str], list[tuple[Any, ...]]]]:
+        """The vector plan over the slots an index probe selects.
+
+        Takes a hash ``eq`` probe or an unordered btree ``range``, in
+        the rowid order ``_iter_plan`` would stream them.  Ordered walks
+        stay on the row path, where ORDER BY ... LIMIT stops early.  The
+        WHERE clause is re-checked in full over the gathered columns, as
+        the row path re-checks it per row.  Counters are charged only on
+        success: on fallback the row pipeline charges them itself, so a
+        probe is counted once either way.
+        """
+        if plan.vector is None or not table.is_columnar or access.ordered:
+            return None
+        if access.kind == "eq":
+            rowids = sorted(access.index.lookup(access.key))
+        else:
+            rowids = list(access.index.range_rowids(
+                access.prefix, access.lo, access.hi,
+                descending=access.descending,
+                include_null=access.include_null,
+            ))
+        stats = self.database.stats
+        try:
+            result = self._vector_select(
+                stmt, plan, table, params, table.slots_of(rowids)
+            )
+        except Exception:
+            result = None  # the row path replays it with row semantics
+        if result is None:
+            stats["vector_fallbacks"] += 1
+            _VECTOR_FALLBACKS.inc()
+            return None
+        stats["index_eq_probes" if access.kind == "eq" else "index_range_scans"] += 1
+        stats["rows_scanned"] += len(rowids)
+        stats["rows_via_index"] += len(rowids)
+        stats["vector_selects"] += 1
+        _VECTOR_SELECTS.inc()
+        return result
 
     def _plain_select_compiled(
         self,

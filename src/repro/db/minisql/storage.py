@@ -24,7 +24,7 @@ from itertools import islice
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .ast_nodes import ColumnDef
 from .errors import IntegrityError, OperationalError, ProgrammingError
@@ -807,6 +807,21 @@ class ColumnData:
             return
         self.exc[slot] = value
 
+    def gather(self, slots: Sequence[int]) -> list[Any]:
+        """The values at ``slots``, in that order, as a fresh list — the
+        index-probe twin of :meth:`materialize`."""
+        data = self.data
+        out = [data[s] for s in slots]
+        if self.kind in ("t", "o"):
+            return out
+        if self.exc:
+            exc = self.exc
+            out = [exc.get(s, v) for s, v in zip(slots, out)]
+        if self.null_count:
+            nulls = self.nulls
+            out = [None if nulls[s] else v for s, v in zip(slots, out)]
+        return out
+
     def materialize(self, live: bytearray, dead_count: int) -> list[Any]:
         """All live values in slot order, as a fresh list."""
         if self.kind in ("t", "o"):
@@ -985,6 +1000,14 @@ class ColumnTable(Table):
 
     def column_pure(self, position: int) -> bool:
         return self._cols[position].pure
+
+    def slots_of(self, rowids: Iterable[int]) -> list[int]:
+        """The slots holding ``rowids``, in the same order."""
+        return list(map(self._slot_of.__getitem__, rowids))
+
+    def column_gather(self, position: int, slots: Sequence[int]) -> list[Any]:
+        """One column's values at ``slots`` (see :meth:`slots_of`)."""
+        return self._cols[position].gather(slots)
 
     def check_columns(self) -> list[str]:
         """Internal column-store invariants for ``PRAGMA integrity_check``:

@@ -5,8 +5,10 @@ correlation plots, stacked group bars) on top of the §5.3 architecture.
 These functions compute those chart *series* — the client renders them
 however it likes (our tests assert on the data; the CLI prints text).
 
-Every producer takes PerfDMF-model inputs and returns plain dicts/lists
-so the values serialise over the wire protocol unchanged.
+Every producer takes PerfDMF-model inputs — a DataSource or the
+ColumnarTrial the analysis server loads — and returns plain dicts/lists
+so the values serialise over the wire protocol unchanged.  Both inputs
+of one stored trial give bit-identical series.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..core.model import DataSource
+from ..core.model import ColumnarTrial, DataSource
 from ..core.toolkit.speedup import SpeedupAnalyzer
-from ..core.toolkit.stats import event_values, group_breakdown
+from ..core.toolkit.stats import event_values, group_breakdown, trial_event_names
+
+TrialData = DataSource | ColumnarTrial
 
 
 def speedup_chart(
-    trials: Sequence[tuple[int, DataSource]],
+    trials: Sequence[tuple[int, TrialData]],
     events: Optional[list[str]] = None,
     metric: int = 0,
 ) -> dict[str, Any]:
@@ -49,7 +53,7 @@ def speedup_chart(
 
 
 def correlation_matrix(
-    source: DataSource,
+    source: TrialData,
     events: Optional[list[str]] = None,
     metric: int = 0,
 ) -> dict[str, Any]:
@@ -60,7 +64,7 @@ def correlation_matrix(
     across threads (the sPPM boundary effect shows up here too).
     """
     if events is None:
-        events = list(source.interval_events)
+        events = trial_event_names(source)
     matrix = np.vstack(
         [event_values(source, name, metric) for name in events]
     )
@@ -74,7 +78,7 @@ def correlation_matrix(
 
 
 def group_fraction_chart(
-    trials: Sequence[tuple[int, DataSource]], metric: int = 0
+    trials: Sequence[tuple[int, TrialData]], metric: int = 0
 ) -> dict[str, Any]:
     """Stacked-bar data: fraction of total time per event group vs P."""
     processors = []
@@ -96,11 +100,11 @@ def group_fraction_chart(
 
 
 def imbalance_chart(
-    source: DataSource, metric: int = 0, top: int = 10
+    source: TrialData, metric: int = 0, top: int = 10
 ) -> dict[str, Any]:
     """Per-event imbalance (max/mean over threads), worst first."""
     rows = []
-    for name in source.interval_events:
+    for name in trial_event_names(source):
         values = event_values(source, name, metric)
         mean = float(values.mean())
         if mean <= 0:

@@ -28,6 +28,8 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import registry as _registry
 from repro.obs.trace import tracer as _tracer
 
+from ..core.api.entities import Trial
+from ..core.model import ColumnarTrial
 from ..core.session.dbsession import PerfDMFSession
 from ..core.toolkit.stats import event_values
 from .charts import (
@@ -124,33 +126,53 @@ class AnalysisServer:
             {"id": a.id, "name": a.name} for a in self.session.get_application_list()
         ]
 
+    # Handlers pass their filters as arguments and never touch the
+    # session's selection: requests run concurrently on executor threads
+    # and share this one session.
+
     def _list_experiments(self, application: int) -> list[dict[str, Any]]:
-        self.session.set_application(application)
-        out = [
+        return [
             {"id": e.id, "name": e.name}
-            for e in self.session.get_experiment_list()
+            for e in self.session.get_experiment_list(application)
         ]
-        self.session.reset_selection()
-        return out
 
     def _list_trials(self, experiment: int) -> list[dict[str, Any]]:
-        self.session.set_experiment(experiment)
-        out = [
+        return [
             {
                 "id": t.id,
                 "name": t.name,
                 "node_count": t.get("node_count"),
             }
-            for t in self.session.get_trial_list()
+            for t in self.session.get_trial_list(experiment)
         ]
-        self.session.reset_selection()
-        return out
 
     def _list_metrics(self, trial: int) -> list[str]:
         return self.session.get_metrics(trial)
 
     def _list_events(self, trial: int) -> list[dict[str, Any]]:
         return self.session.get_interval_events(trial)
+
+    def _load_trial(self, trial: Trial | int) -> ColumnarTrial:
+        """One stored trial's profile data, as every analysis handler
+        reads it.
+
+        ``load_columnar`` refuses a trial row with no stored metrics or
+        no events.  The handlers read such a trial as one with no
+        threads, as they read the empty DataSource it used to load as,
+        so its replies and errors stay what they were."""
+        try:
+            return self.session.load_columnar(trial)
+        except ValueError:
+            metrics = self.session.get_metrics(trial)
+            events = self.session.get_interval_events(trial)
+            if metrics and events:
+                raise
+            return ColumnarTrial.allocate(
+                event_names=[e["name"] for e in events],
+                metric_names=metrics,
+                thread_triples=[],
+                event_groups=[e["group"] or "TAU_DEFAULT" for e in events],
+            )
 
     def _cluster_trial(
         self,
@@ -163,10 +185,10 @@ class AnalysisServer:
         method: str = "kmeans",
     ) -> dict[str, Any]:
         """The paper's flagship operation: select data, cluster, save."""
-        source = self.session.load_datasource(trial)
+        source = self._load_trial(trial)
         metric_index = 0
         if metric_name is not None:
-            names = [m.name for m in source.metrics]
+            names = source.metric_names
             if metric_name not in names:
                 raise ValueError(f"trial {trial} has no metric {metric_name!r}")
             metric_index = names.index(metric_name)
@@ -206,18 +228,17 @@ class AnalysisServer:
     def _describe_event(
         self, trial: int, event: str, metric_name: Optional[str] = None
     ) -> dict[str, float]:
-        source = self.session.load_datasource(trial)
+        source = self._load_trial(trial)
         metric_index = 0
         if metric_name is not None:
-            names = [m.name for m in source.metrics]
-            metric_index = names.index(metric_name)
+            metric_index = source.metric_names.index(metric_name)
         values = event_values(source, event, metric_index)
         return self.backend.describe(values)
 
     def _correlate_events(
         self, trial: int, event_x: str, event_y: str
     ) -> dict[str, float]:
-        source = self.session.load_datasource(trial)
+        source = self._load_trial(trial)
         x = event_values(source, event_x)
         y = event_values(source, event_y)
         return self.backend.correlate(x, y)
@@ -237,15 +258,14 @@ class AnalysisServer:
             if not hasattr(value, "interval_events")
         }
 
-    def _experiment_trials(self, experiment: int) -> list[tuple[int, "object"]]:
-        """Load every trial of an experiment as (processors, DataSource)."""
-        self.session.set_experiment(experiment)
-        out = []
-        for trial in self.session.get_trial_list():
-            processors = trial.get("node_count") or 1
-            out.append((processors, self.session.load_datasource(trial)))
-        self.session.reset_selection()
-        return out
+    def _experiment_trials(
+        self, experiment: int
+    ) -> list[tuple[int, ColumnarTrial]]:
+        """Load every trial of an experiment as (processors, ColumnarTrial)."""
+        return [
+            (trial.get("node_count") or 1, self._load_trial(trial))
+            for trial in self.session.get_trial_list(experiment)
+        ]
 
     def _speedup_chart(
         self, experiment: int, events: Optional[list[str]] = None
@@ -261,14 +281,13 @@ class AnalysisServer:
     def _correlation_matrix(
         self, trial: int, events: Optional[list[str]] = None
     ) -> dict[str, Any]:
-        source = self.session.load_datasource(trial)
-        return correlation_matrix(source, events)
+        return correlation_matrix(self._load_trial(trial), events)
 
     def _group_fraction_chart(self, experiment: int) -> dict[str, Any]:
         return group_fraction_chart(self._experiment_trials(experiment))
 
     def _imbalance_chart(self, trial: int, top: int = 10) -> dict[str, Any]:
-        return imbalance_chart(self.session.load_datasource(trial), top=top)
+        return imbalance_chart(self._load_trial(trial), top=top)
 
     def _server_load(self) -> dict[str, Any]:
         """Lightweight load probe for client-side least-loaded routing.

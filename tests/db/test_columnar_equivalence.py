@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db import minisql
-from tests.test_differential_sql import CORPUS, Err, _normalise
+from tests.test_differential_sql import CORPUS, PROBE_CORPUS, Err, _normalise
 
 #: Pragmas establishing each execution mode on a fresh connection.
 MODES = {
@@ -123,6 +123,80 @@ class TestCorpusThreeWay:
         assert stats["vector_selects"] > 0
         assert trio["interpreter"].stats()["vector_selects"] == 0
         assert trio["compiled"].stats()["vector_selects"] == 0
+
+
+def _replay(conn) -> dict[str, dict[str, int]]:
+    """Replay the corpus; per probe-section SELECT, the counter deltas."""
+    keys = ("vector_selects", "index_eq_probes", "index_range_scans")
+    deltas = {}
+    for entry in CORPUS:
+        if isinstance(entry, Err):
+            _outcome(conn, entry.sql, entry.params)
+            continue
+        sql, params = entry
+        before = conn.stats()
+        _outcome(conn, sql, params)
+        after = conn.stats()
+        if entry in PROBE_CORPUS and sql.startswith("SELECT"):
+            deltas[sql] = {k: after[k] - before[k] for k in keys}
+    return deltas
+
+
+class TestProbeGather:
+    """The probe section of the corpus must really reach the vector plan
+    over index-selected slots — agreement alone could be vacuous."""
+
+    def test_probes_vectorize_and_ordered_walks_stream(self, trio):
+        deltas = _replay(trio["columnar"])
+        eq = [d for d in deltas.values() if d["index_eq_probes"]]
+        ranges = [d for d in deltas.values() if d["index_range_scans"]]
+        assert sum(d["vector_selects"] for d in eq) >= 5
+        assert sum(d["vector_selects"] for d in ranges) >= 3
+        for sql, d in deltas.items():
+            if "LIMIT" in sql:
+                assert d == {"vector_selects": 0, "index_eq_probes": 0,
+                             "index_range_scans": 1}, sql
+        for mode in ("interpreter", "compiled"):
+            assert all(
+                d["vector_selects"] == 0 for d in _replay(trio[mode]).values()
+            )
+
+    def test_explain_vectorized_column_matches_execution(self, trio):
+        conn = trio["columnar"]
+        deltas = _replay(conn)
+        for sql, params in PROBE_CORPUS:
+            if sql not in deltas:
+                continue
+            flags = [r[3] for r in conn.execute(f"EXPLAIN {sql}", params).fetchall()]
+            if "LIMIT" in sql:
+                assert set(flags) == {"no"}, sql
+            elif deltas[sql]["vector_selects"]:
+                assert flags[0] == "yes", sql
+
+    def test_rowid_restored_by_rollback(self, trio):
+        """A rolled-back DELETE puts its rowids back in new slots at the
+        end of the column store, so probed rowids no longer follow slot
+        order; every mode must still answer in rowid order."""
+        for conn in trio.values():
+            conn.execute("CREATE TABLE rb (k INTEGER, v REAL, s TEXT)")
+            conn.execute("CREATE INDEX idx_rb_k ON rb (k)")
+            conn.executemany(
+                "INSERT INTO rb VALUES (?, ?, ?)",
+                [(i % 3, float(i), None if i % 4 else f"s{i}") for i in range(12)],
+            )
+            conn.commit()
+            conn.execute("BEGIN")
+            conn.execute("DELETE FROM rb WHERE v < 5")
+            conn.rollback()
+        before = trio["columnar"].stats()["vector_selects"]
+        for sql in (
+            "SELECT v, s FROM rb WHERE k = 1",
+            "SELECT sum(v), count(s) FROM rb WHERE k = 0",
+            "SELECT v FROM rb WHERE k = 2 AND v > 3",
+        ):
+            outcomes = {m: _outcome(c, sql, ()) for m, c in trio.items()}
+            assert len(set(map(repr, outcomes.values()))) == 1, (sql, outcomes)
+        assert trio["columnar"].stats()["vector_selects"] == before + 3
 
 
 #: SELECTs guaranteed to fail on the `mix` fixture table (a text value

@@ -151,6 +151,33 @@ class TestVectorGating:
         populated.execute("SELECT sum(v), max(k) FROM t WHERE k < 4").fetchall()
         assert populated.stats()["vector_selects"] == before + 1
 
+    def test_index_probe_counted_once_either_way(self, populated):
+        """A probe answered by the vector plan charges the same access
+        counters as the row path; one that falls back (impure column)
+        is charged once, by the row path, plus one fallback."""
+        populated.execute("PRAGMA columnar(t on)")
+        keys = ("index_eq_probes", "rows_scanned", "rows_via_index",
+                "full_scans", "vector_selects", "vector_fallbacks")
+
+        def charged(sql):
+            before = populated.stats()
+            rows = populated.execute(sql).fetchall()
+            after = populated.stats()
+            return rows, {k: after[k] - before[k] for k in keys}
+
+        sql = "SELECT sum(v), count(*) FROM t WHERE k = 3"
+        rows, counts = charged(sql)
+        assert rows == [(sum(float(i) for i in range(3, 100, 5)), 20)]
+        assert counts == {"index_eq_probes": 1, "rows_scanned": 20,
+                          "rows_via_index": 20, "full_scans": 0,
+                          "vector_selects": 1, "vector_fallbacks": 0}
+        populated.execute("UPDATE t SET v = 'text' WHERE k = 4")
+        populated.commit()  # v now holds a string: the column is impure
+        assert charged(sql) == (rows, {
+            "index_eq_probes": 1, "rows_scanned": 20, "rows_via_index": 20,
+            "full_scans": 0, "vector_selects": 0, "vector_fallbacks": 1,
+        })
+
 
 class TestExplainVectorizedColumn:
     def test_plain_explain_row_vs_columnar(self, populated):

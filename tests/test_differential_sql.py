@@ -32,6 +32,15 @@ class Err:
         self.params = params
 
 
+class MiniSQLOnly(tuple):
+    """A ``(sql, params)`` entry only MiniSQL runs: access-path DDL that
+    sqlite cannot parse (``USING BTREE``).  An index never changes what
+    a statement returns, so the sqlite side simply goes without it."""
+
+    def __new__(cls, sql, params=()):
+        return super().__new__(cls, (sql, params))
+
+
 CORPUS = [
     # --- DDL -------------------------------------------------------------
     ("CREATE TABLE dept (id INTEGER PRIMARY KEY AUTOINCREMENT, "
@@ -199,6 +208,61 @@ CORPUS = [
     ("SELECT count(*) FROM emp", ()),
 ]
 
+#: Index probes.  A columnar MiniSQL table answers a hash ``eq`` probe or
+#: an unordered btree ``range`` with the vector plan over the probed
+#: slots; an ordered walk (ORDER BY ... LIMIT) keeps streaming through
+#: the row path.  Column ``x`` is INTEGER but holds 2.5, which MiniSQL
+#: keeps in its escape hatch: the column is impure, so expressions over
+#: it refuse the vector plan while plain projections still gather it.
+PROBE_CORPUS = [
+    ("CREATE TABLE probe (id INTEGER PRIMARY KEY AUTOINCREMENT, "
+     "k INTEGER, r REAL, v REAL, x INTEGER, s TEXT)", ()),
+    ("CREATE INDEX idx_probe_k ON probe (k)", ()),
+    MiniSQLOnly("CREATE INDEX idx_probe_r ON probe (r) USING BTREE"),
+    ("INSERT INTO probe (k, r, v, x, s) VALUES "
+     "(1, 1.5, 10.0, 3, 'a'), (2, 2.5, NULL, 4, NULL), "
+     "(1, 3.5, -1.0, 2.5, 'c'), (3, 0.5, NULL, 6, 'd'), "
+     "(2, 4.5, 7.5, 7, 'e'), (1, NULL, 2.0, 8, NULL), "
+     "(3, 5.5, 3.0, 9, 'g'), (2, 6.5, NULL, 10, 'h')", ()),
+    # hash eq probes: index (rowid) order, a sort, NULLs, aggregates
+    ("SELECT id, k, r, v, s FROM probe WHERE k = 2", ()),
+    ("SELECT id, v, s FROM probe WHERE k = ? ORDER BY r DESC", (2,)),
+    ("SELECT count(*), sum(r), min(v), max(v), count(s) FROM probe "
+     "WHERE k = 2", ()),
+    ("SELECT id, coalesce(v, -1.0), r * 2 FROM probe WHERE k = 3 "
+     "ORDER BY id", ()),
+    # residual WHERE, re-checked over the gathered columns
+    ("SELECT id, r FROM probe WHERE k = 1 AND v > 0 ORDER BY id", ()),
+    ("SELECT id FROM probe WHERE k = 1 AND s IS NULL", ()),
+    # the impure column: gathered as is by *, refused in an expression
+    ("SELECT * FROM probe WHERE k = 1 ORDER BY id", ()),
+    ("SELECT id, x * 2 FROM probe WHERE k = 1 ORDER BY id", ()),
+    # unordered btree ranges (ORDER BY does not follow idx_probe_r)
+    ("SELECT id, r, v FROM probe WHERE r BETWEEN 1.0 AND 6.0 "
+     "ORDER BY id", ()),
+    ("SELECT id FROM probe WHERE r > 2.0 AND s IS NOT NULL "
+     "ORDER BY s", ()),
+    ("SELECT sum(v), count(v), max(r) FROM probe WHERE r < 5.0", ()),
+    # empty probes fall back; aggregates still answer one row
+    ("SELECT id FROM probe WHERE k = 99", ()),
+    ("SELECT count(*), sum(r) FROM probe WHERE k = 99", ()),
+    ("SELECT id FROM probe WHERE r > 100.0 ORDER BY id", ()),
+    # ordered btree walks stream through the row path and stop early
+    ("SELECT id, r FROM probe ORDER BY r LIMIT 3", ()),
+    ("SELECT id, r FROM probe WHERE r > 1.0 ORDER BY r DESC LIMIT 2", ()),
+    # tombstoned slots, then an id deleted and inserted again
+    ("DELETE FROM probe WHERE id IN (2, 5)", ()),
+    ("SELECT id, r, v FROM probe WHERE k = 2", ()),
+    ("SELECT id, r FROM probe WHERE r BETWEEN 0.0 AND 10.0 "
+     "ORDER BY id", ()),
+    ("INSERT INTO probe (id, k, r, v, x, s) VALUES "
+     "(2, 2, 9.5, NULL, 11, 'back')", ()),
+    ("SELECT id, r, v, s FROM probe WHERE k = 2 ORDER BY id", ()),
+    ("SELECT id, r FROM probe WHERE r >= 6.0 ORDER BY r", ()),
+]
+
+CORPUS += PROBE_CORPUS
+
 
 def _normalise(rows):
     out = []
@@ -242,6 +306,10 @@ def test_corpus_identical_on_both_backends(backends):
                 with pytest.raises(IntegrityError):
                     conn.execute(entry.sql, entry.params)
                 conn.rollback()
+            continue
+        if isinstance(entry, MiniSQLOnly):
+            minisql_conn.execute(*entry)
+            minisql_conn.commit()
             continue
         sql, params = entry
         results = []
