@@ -5,12 +5,19 @@ model — serialise the catalog and every row as portable SQL text, and
 restore by executing the script.  Because the dump is plain SQL in the
 shared dialect, a MiniSQL archive restores into sqlite (and vice versa),
 which doubles as yet another engine-portability check.
+
+:func:`restore_dump` is the inverse of :func:`dump_database_sql` that
+archive recovery uses: rows in exactly the shape the writer emits are
+decoded by a literal scanner and bulk-appended, everything else goes
+through the parser and executor.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
@@ -49,9 +56,10 @@ def dump_database_sql(database) -> Iterator[str]:
         unique = "UNIQUE " if index.unique else ""
         columns = ", ".join(index.column_names)
         # The USING {HASH|BTREE} clause is deliberately dropped: dumps
-        # must restore into sqlite unchanged, so ordered indexes degrade
-        # to hash on a MiniSQL round-trip (results stay identical; only
-        # range-scan acceleration is lost until the index is recreated).
+        # must restore into sqlite unchanged.  The checkpoint trailer
+        # records the method for archive recovery; a plain
+        # load_database into MiniSQL builds hash indexes (results stay
+        # identical; only range-scan acceleration is lost).
         yield (
             f"CREATE {unique}INDEX {index.name} ON {table.name} ({columns});"
         )
@@ -83,17 +91,27 @@ def _create_table_sql(table, database) -> str:
     return f"CREATE TABLE {table.name} ({', '.join(parts)});"
 
 
+#: What _render_value writes for NaN.
+_NAN_LITERAL = "(1e999-1e999)"
+
+#: repr() of a non-finite float is inf/nan, which SQL reads as a column
+#: name.  Both engines read 1e999 as +Inf; Inf-Inf is NaN in MiniSQL and
+#: NULL in sqlite, which is what sqlite stores for a NaN.
+_NON_FINITE = {"inf": "1e999", "-inf": "-1e999", "nan": _NAN_LITERAL}
+
+
 def _render_value(value: Any) -> str:
-    # Only quotes need escaping: restores tokenize the whole script with
-    # the real lexer (never line filtering), so control characters —
-    # newlines, carriage returns, text resembling comments or keywords —
-    # ride inside the quoted literal byte-for-byte.
+    # Only quotes need escaping: restores scan quoted literals whole
+    # (never line filtering), so control characters — newlines, carriage
+    # returns, text resembling comments or keywords — ride inside the
+    # quoted literal byte-for-byte.
     if value is None:
         return "NULL"
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, float)):
-        return repr(value)
+        text = repr(value)
+        return _NON_FINITE.get(text, text)
     text = str(value).replace("'", "''")
     return f"'{text}'"
 
@@ -120,7 +138,18 @@ def checkpoint_meta(database, last_lsn: int) -> dict:
         if getattr(table, "is_columnar", False):
             entry["columnar"] = True
         tables[key] = entry
-    return {"last_lsn": last_lsn, "tables": tables}
+    meta: dict[str, Any] = {"last_lsn": last_lsn, "tables": tables}
+    # Likewise the access method: the body drops USING so that sqlite
+    # can load it, and a restore without this map builds hash indexes.
+    methods = {
+        index.name: index.method
+        for table in database.tables.values()
+        for index in table.indexes.values()
+        if index.method != "hash"
+    }
+    if methods:
+        meta["index_methods"] = methods
+    return meta
 
 
 def render_meta(meta: dict) -> str:
@@ -136,6 +165,170 @@ def parse_meta(script: str) -> Optional[dict]:
         if line and not line.startswith("--"):
             return None
     return None
+
+
+#: Rows appended per ``Table.append_rows`` call during a restore.
+_RESTORE_BATCH = 4096
+
+# The scanner's patterns are ASCII-only, like the lexer: it reads no
+# Unicode digits or spaces the parser would reject.
+
+#: Whitespace and comments between statements.
+_GAP = re.compile(r"(?:\s+|--[^\n]*|/\*.*?\*/)*", re.S | re.A)
+
+#: One statement, up to and including its ``;``: quoted text and
+#: comments may hold semicolons.
+_STATEMENT = re.compile(
+    r"""(?:[^;'"/-]+|'[^']*(?:''[^']*)*'|"[^"]*(?:""[^"]*)*"|--[^\n]*"""
+    r"""|/\*.*?\*/|[/-])*;?""",
+    re.S,
+)
+
+#: The head of a dump row: ``INSERT INTO t (c1, c2) VALUES (``.
+_ROW_HEAD = re.compile(r"INSERT INTO (\w+) \(([\w, ]*)\) VALUES \(", re.A)
+
+#: One literal as _render_value writes it, then its separator.  The
+#: groups are text, integer and real; a match with none of them is NULL.
+_LITERAL = re.compile(
+    r"(?:'([^']*(?:''[^']*)*)'"
+    r"|(-?\d+)"
+    r"|(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|" + re.escape(_NAN_LITERAL) + r")"
+    r"|NULL)"
+    r"(, |\);)",
+    re.A,
+)
+
+
+def _scan_row(script: str, pos: int) -> tuple[list[Any], int]:
+    """Decode the literals of a dump row from just after ``VALUES (``.
+
+    Returns the values and the offset just past the closing ``);``, or
+    an empty list when a literal is not in a form _render_value writes.
+    Each value is the one the parser and expression evaluator produce
+    for the same literal.
+    """
+    row: list[Any] = []
+    match = _LITERAL.match
+    while True:
+        m = match(script, pos)
+        if m is None:
+            return [], pos
+        text, integer, real, separator = m.groups()
+        if text is not None:
+            row.append(text.replace("''", "'"))
+        elif integer is not None:
+            row.append(int(integer))
+        elif real is not None:
+            row.append(math.nan if real == _NAN_LITERAL else float(real))
+        else:
+            row.append(None)
+        pos = m.end()
+        if separator == ");":
+            return row, pos
+
+
+def restore_dump(database, script: str, meta: Optional[dict]) -> tuple[int, int]:
+    """Load a dump script into the empty storage-level ``database``.
+
+    A row in exactly the shape :func:`dump_database_sql` writes — all
+    columns, in table order, as literals — is decoded by
+    :func:`_scan_row` and appended in per-table batches through
+    ``Table.append_rows``, which applies the same coercion and NOT
+    NULL/UNIQUE checks as a single-row INSERT.  Every other statement
+    (DDL, transaction framing, rows the scanner rejects) is parsed and
+    executed one at a time.
+
+    With the checkpoint trailer ``meta``, a table the trailer marks
+    columnar is switched while still empty, indexes get their recorded
+    access method, and each table's rowids, next rowid and
+    autoincrement mark are restored.  Returns ``(rows restored,
+    statements parsed)``.
+    """
+    from .ast_nodes import (
+        BeginTransaction, CommitTransaction, CreateIndex, CreateTable,
+        RollbackTransaction,
+    )
+    from .executor import Executor
+    from .parser import parse
+
+    table_meta = (meta or {}).get("tables", {})
+    methods = (meta or {}).get("index_methods", {})
+    executor = None
+    statements = 0
+    # (table name, column list) of a row head -> its Table when the list
+    # is the table's full column list, else None; cleared after every
+    # parsed statement, since DDL can change both.
+    targets: dict[tuple[str, str], Any] = {}
+    batch: list[list[Any]] = []
+    batch_table = None
+
+    def flush() -> None:
+        if batch:
+            batch_table.append_rows(batch)
+            batch.clear()
+
+    pos = _GAP.match(script).end()
+    end = len(script)
+    while pos < end:
+        head = _ROW_HEAD.match(script, pos)
+        if head is not None:
+            key = head.group(1, 2)
+            if key not in targets:
+                table = database.tables.get(key[0].lower())
+                if table is not None and key[1] != ", ".join(table.column_names):
+                    table = None
+                targets[key] = table
+            table = targets[key]
+            if table is not None:
+                row, stop = _scan_row(script, head.end())
+                if len(row) == len(table.columns):
+                    if table is not batch_table or len(batch) >= _RESTORE_BATCH:
+                        flush()
+                        batch_table = table
+                    batch.append(row)
+                    pos = _GAP.match(script, stop).end()
+                    continue
+        flush()
+        stop = _STATEMENT.match(script, pos).end()
+        if stop == pos or (stop < end and script[stop - 1] != ";"):
+            stop = end  # unterminated text: let the parser report it
+        for statement in parse(script[pos:stop]):
+            statements += 1
+            if isinstance(
+                statement,
+                (BeginTransaction, CommitTransaction, RollbackTransaction),
+            ):
+                continue
+            if isinstance(statement, CreateIndex):
+                statement.using = methods.get(statement.name, statement.using)
+            if executor is None:
+                executor = Executor(database)
+            executor.execute(statement)
+            if isinstance(statement, CreateTable) and table_meta.get(
+                statement.table.lower(), {}
+            ).get("columnar"):
+                database.set_table_storage(statement.table, True)
+        targets.clear()
+        pos = _GAP.match(script, stop).end()
+    flush()
+    for key, entry in table_meta.items():
+        table = database.tables.get(key)
+        if table is None:
+            continue
+        rowids = entry.get("rowids", [])
+        # The dump emits rows in sorted-rowid order and the restore
+        # numbered them 1..n in that same order.
+        if len(rowids) == len(table) and rowids != list(table.rows):
+            table.renumber(rowids)
+            for index in table.indexes.values():
+                index.rebuild()
+        table._next_rowid = max(
+            int(entry.get("next_rowid", 1)), table._next_rowid
+        )
+        table.last_autoincrement = max(
+            int(entry.get("last_autoincrement", 0)), table.last_autoincrement
+        )
+    return sum(len(table) for table in database.tables.values()), statements
 
 
 def save_database(connection, path: str | os.PathLike) -> Path:

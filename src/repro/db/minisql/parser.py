@@ -285,7 +285,9 @@ class Parser:
             elif self.accept_keyword("UNIQUE"):
                 column.unique = True
             elif self.accept_keyword("DEFAULT"):
-                column.default = self.parse_primary()
+                # A signed number, as sqlite allows: dumps write a
+                # negative or -Inf default as DEFAULT -1 / DEFAULT -1e999.
+                column.default = self._parse_unary()
             elif self.accept_keyword("REFERENCES"):
                 ref_table = self.expect_identifier("referenced table")
                 ref_column = "id"

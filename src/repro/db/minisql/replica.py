@@ -56,11 +56,8 @@ from repro.testing import faults
 
 from .errors import OperationalError
 from .storage import Database
-from .wal import (
-    _encode_record, _rebuild_after_recovery, _restore_checkpoint,
-    decode_buffer, read_records,
-)
-from .dump import parse_meta
+from .wal import _encode_record, decode_buffer, read_records
+from .dump import parse_meta, restore_dump
 
 _log = get_logger("repro.db.minisql.replica")
 
@@ -383,8 +380,7 @@ class Replica:
             db.tables.clear()
             db.index_owner.clear()
             db.foreign_keys.clear()
-            _restore_checkpoint(db, script, meta)
-            _rebuild_after_recovery(db)
+            restore_dump(db, script, meta)
             # Restore re-runs DDL, which already bumps schema_version;
             # one extra bump guards the table-clearing itself.
             db.schema_version += 1

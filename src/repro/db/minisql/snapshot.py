@@ -86,9 +86,12 @@ class SnapshotManager:
         #: (snapshot fresh) path.
         self._lock = threading.Lock()
         self._snapshot: Optional[Database] = None
-        #: name -> (version, clone) cache reused across refreshes so an
-        #: unchanged table is never re-cloned.
-        self._clones: dict[str, tuple[int, Table]] = {}
+        #: name -> (source table, version, clone) cache reused across
+        #: refreshes so an unchanged table is never re-cloned.  The
+        #: source is kept because a version only orders the changes of
+        #: one Table object: a replica resync rebuilds every table, and
+        #: the rebuilt one can start again at the version of the old.
+        self._clones: dict[str, tuple[Table, int, Table]] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -176,22 +179,22 @@ class SnapshotManager:
         snap.foreign_keys = dict(db.foreign_keys)
         snap.index_owner = dict(db.index_owner)
         tables: dict[str, Table] = {}
-        clones: dict[str, tuple[int, Table]] = {}
+        clones: dict[str, tuple[Table, int, Table]] = {}
         for key, table in db.tables.items():
             cached = self._clones.get(key)
             if (
                 cached is not None
-                and cached[0] == table.version
-                and type(cached[1]) is type(table)
-                and cached[1].columns == table.columns
+                and cached[0] is table
+                and cached[1] == table.version
+                and cached[2].columns == table.columns
             ):
-                clone = cached[1]
+                clone = cached[2]
             else:
                 clone = clone_table(table)
                 db.stats["snapshot_table_clones"] += 1
                 _CLONES.inc()
             tables[key] = clone
-            clones[key] = (table.version, clone)
+            clones[key] = (table, table.version, clone)
         snap.tables = tables
         self._clones = clones
         return snap

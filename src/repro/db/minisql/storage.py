@@ -586,6 +586,15 @@ class Table:
         self.rows[rowid] = row
         self.version += 1
 
+    def renumber(self, rowids: Sequence[int]) -> None:
+        """Give the stored rows, in scan order, the rowids ``rowids``.
+
+        Row values are not copied.  Indexes still hold the old rowids:
+        the caller rebuilds them.
+        """
+        self.rows = dict(zip(rowids, self.rows.values()))
+        self.version += 1
+
     def scan(self) -> Iterator[tuple[int, list[Any]]]:
         return iter(self.rows.items())
 
@@ -935,16 +944,14 @@ class ColumnTable(Table):
 
     @rows.setter
     def rows(self, mapping) -> None:
-        # Table.__init__ assigns ``self.rows = {}``, and WAL checkpoint
-        # restore assigns a full replacement dict; both land here.
+        # Only Table.__init__ assigns (``self.rows = {}``): start empty.
+        assert not mapping
         self._cols = [ColumnData(c.affinity) for c in self.columns]
         self._slot_rowids: list[int] = []
         self._slot_of: dict[int, int] = {}
         self._live = bytearray()
         self._dead_count = 0
         self._view = _ColumnRowsView(self)
-        for rowid, row in mapping.items():
-            self._cstore_new(rowid, row)
 
     # -- column-store internals ---------------------------------------------
 
@@ -983,6 +990,17 @@ class ColumnTable(Table):
         self._dead_count = 0
         for rowid, row in pairs:
             self._cstore_new(rowid, row)
+
+    def renumber(self, rowids: Sequence[int]) -> None:
+        """Rewrite the slot directory; the column slabs stay as they are.
+
+        Only a table without deleted slots (one just bulk-appended) can
+        be renumbered this way.
+        """
+        assert not self._dead_count
+        self._slot_rowids = list(rowids)
+        self._slot_of = {rowid: slot for slot, rowid in enumerate(rowids)}
+        self.version += 1
 
     def _live_rowids(self) -> list[int]:
         if not self._dead_count:

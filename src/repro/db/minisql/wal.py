@@ -18,8 +18,9 @@ promise.  This module gives file-backed MiniSQL archives
   marks, the WAL position it contains) that sqlite skips as a comment;
 * **recovery on open**: restore the checkpoint, replay committed WAL
   records past the checkpoint LSN, discard uncommitted transactions,
-  stop at the first bad checksum.  A fresh checkpoint is then written
-  so every open starts from a clean, empty log.
+  stop at the first bad checksum.  An open that found any log records
+  then writes a fresh checkpoint, and an open with an empty log keeps
+  its checkpoint; either way every open starts from an empty log.
 
 Durability knobs mirror sqlite's ``PRAGMA synchronous``:
 
@@ -54,7 +55,9 @@ from repro.obs.metrics import registry as _registry
 from repro.obs.trace import tracer as _tracer
 from repro.testing import faults
 
-from .dump import checkpoint_meta, dump_database_sql, parse_meta, render_meta
+from .dump import (
+    checkpoint_meta, dump_database_sql, parse_meta, render_meta, restore_dump,
+)
 from .errors import OperationalError
 
 _log = get_logger("repro.db.minisql.wal")
@@ -397,10 +400,11 @@ def open_file_database(
     """Open (and recover) the file-backed database at ``path``.
 
     Returns a :class:`~repro.db.minisql.storage.Database` with an
-    attached, freshly-truncated :class:`WriteAheadLog`.  Recovery
-    replays checkpoint + committed WAL records, then immediately writes
-    a new checkpoint so the archive file reflects everything recovered
-    and the log restarts empty.
+    attached :class:`WriteAheadLog` whose log is empty.  Recovery
+    restores the checkpoint, then replays committed WAL records past
+    it.  An open that finds an empty, clean log next to a checkpoint
+    with a trailer keeps that checkpoint; any other open writes a fresh
+    one, so the archive file reflects everything recovered.
     """
     from .storage import Database
 
@@ -409,7 +413,9 @@ def open_file_database(
     t0 = time.perf_counter()
     database = Database()
     checkpoint_lsn = 0
+    meta = None
     restored = False
+    rows_restored = sql_statements = 0
     with _tracer.span("minisql.recover", path=str(archive)) as span:
         if archive.exists():
             # newline="" matches the checkpoint writer: no universal-
@@ -417,19 +423,25 @@ def open_file_database(
             with open(archive, "r", encoding="utf-8", newline="") as fh:
                 script = fh.read()
             meta = parse_meta(script)
-            _restore_checkpoint(database, script, meta)
+            rows_restored, sql_statements = restore_dump(database, script, meta)
             restored = True
             if meta is not None:
                 checkpoint_lsn = int(meta.get("last_lsn", 0))
         records, clean = read_records(archive)
         applied, discarded = _apply_records(database, records, checkpoint_lsn)
-        _rebuild_after_recovery(database)
+        if applied:
+            _rebuild_after_recovery(database)
         max_lsn = max(
             [checkpoint_lsn] + [record[0] for record in records], default=0
         )
+        # An empty, clean log over a checkpoint with a trailer: the file
+        # already holds exactly the recovered state.
+        checkpointed = meta is None or bool(records) or not clean
         span.set(
             records=len(records), applied=applied,
             discarded_txns=len(discarded), torn=not clean,
+            rows_restored=rows_restored, sql_statements=sql_statements,
+            checkpointed=checkpointed,
         )
     wal = WriteAheadLog(
         archive,
@@ -438,10 +450,15 @@ def open_file_database(
         autocheckpoint_bytes=autocheckpoint_bytes,
     )
     wal.last_lsn = max_lsn
-    # Collapse the recovered state into a fresh checkpoint: the old
-    # segments stay on disk until the new archive file is in place, so
-    # a crash *during* recovery just recovers again.
-    wal.checkpoint(database)
+    if checkpointed:
+        # The old segments stay on disk until the new archive file is in
+        # place, so a crash *during* recovery just recovers again.
+        wal.checkpoint(database)
+    else:
+        # The old segments are empty: drop them so that the log is one
+        # segment file, as after a checkpoint.
+        wal._truncate()
+        wal.checkpoint_lsn = checkpoint_lsn
     database.wal = wal
     duration_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     _registry.counter("minisql.wal.recoveries").inc()
@@ -454,57 +471,12 @@ def open_file_database(
         applied=applied,
         discarded_txns=len(discarded),
         torn_tail=not clean,
+        rows_restored=rows_restored,
+        sql_statements=sql_statements,
+        checkpointed=checkpointed,
         duration_ms=duration_ms,
     )
     return database
-
-
-def _restore_checkpoint(database, script: str, meta: Optional[dict]) -> None:
-    """Execute a dump script into ``database`` and restore the original
-    rowid numbering from the checkpoint trailer.
-
-    The script is parsed whole by the real tokenizer — comments and
-    transaction framing are dropped at the statement level, never by
-    line filtering, so TEXT values containing newlines, ``--``, or
-    ``BEGIN;``/``COMMIT;`` restore byte-for-byte.
-    """
-    from .ast_nodes import (
-        BeginTransaction, CommitTransaction, RollbackTransaction,
-    )
-    from .executor import Executor
-    from .parser import parse
-
-    executor = None
-    for statement in parse(script):
-        if isinstance(
-            statement,
-            (BeginTransaction, CommitTransaction, RollbackTransaction),
-        ):
-            continue
-        if executor is None:
-            executor = Executor(database)
-        executor.execute(statement)
-    if meta is None:
-        return
-    for key, table_meta in meta.get("tables", {}).items():
-        table = database.tables.get(key)
-        if table is None:
-            continue
-        rowids = table_meta.get("rowids", [])
-        # The dump emits rows in sorted-rowid order and the restore
-        # assigned fresh sequential rowids in that same order — zip the
-        # original numbering back on.
-        current = [table.rows[rowid] for rowid in sorted(table.rows)]
-        if len(rowids) == len(current):
-            table.rows = dict(zip(rowids, current))
-        table._next_rowid = int(table_meta.get("next_rowid", table._next_rowid))
-        table.last_autoincrement = int(
-            table_meta.get("last_autoincrement", table.last_autoincrement)
-        )
-        # The dump script is storage-agnostic (restores recreate plain
-        # row tables); the trailer records which tables were columnar.
-        if table_meta.get("columnar") and not table.is_columnar:
-            database.set_table_storage(key, True)
 
 
 def _apply_records(
