@@ -31,7 +31,6 @@ from repro.obs.bench import DEFAULT_HISTORY, BenchArchive, tidy_archive  # noqa:
 LEGACY_BARE_SECTIONS = {
     "BENCH_e13_compile.json": "e13_compile",
     "BENCH_e14_columnar.json": "e14_columnar",
-    "BENCH_e15_shard.json": "e15_shard",
 }
 
 

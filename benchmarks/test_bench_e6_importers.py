@@ -134,10 +134,6 @@ def test_parallel_parse_speedup(benchmark, tmp_path_factory, report, bench_json)
             "workers": workers,
             "serial_workers": 1,
             "mp_start_method": multiprocessing.get_start_method(),
-            # Profile parsing fans out per *file*; table sharding
-            # (BENCH_e15_shard.json) is a separate axis — recorded as 0
-            # here so the two payloads join unambiguously on config.
-            "shards": 0,
             "serial_seconds": round(serial_seconds, 3),
             "parallel_seconds": round(parallel_seconds, 3),
             "speedup": round(serial_seconds / parallel_seconds, 2),

@@ -69,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", required=True, help="application name")
     p.add_argument("--exp", required=True, help="experiment name")
     p.add_argument("--trial", required=True, help="trial name")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="shard the archive N ways before loading (minisql "
-                        "file archives: parallel per-shard ingest writers)")
     p.add_argument("--format", dest="format_name", default=None,
                    help="profile format (default: auto-detect)")
     p.add_argument("--stats", action="store_true",
@@ -370,8 +367,6 @@ def _cmd_configure(args) -> int:
 
 def _cmd_load(args) -> int:
     manager = ArchiveManager(args.db)
-    if args.shards is not None:
-        manager.session.connection.execute(f"PRAGMA shards({args.shards})")
     trial = manager.import_profile(
         args.target, args.app, args.exp, args.trial,
         format_name=args.format_name,

@@ -1,9 +1,8 @@
-"""Shared process-pool plumbing for CPU-bound fan-out stages.
+"""Process-pool plumbing for the bulk-ingest parse stage.
 
-Two subsystems fan work out across worker processes: the bulk-ingest
-parse stage (:mod:`repro.core.io_.bulk`) and the MiniSQL shard executor
-(:mod:`repro.db.minisql.shard`).  Both need the same careful lifecycle
-that PR 2/PR 4 hardened by hand in ``bulk.py``:
+:func:`run_tasks` fans one task per spec out to worker processes for
+:mod:`repro.core.io_.bulk`, with a lifecycle hardened against hung and
+dying workers:
 
 * **no ``with`` block** around the executor — the context manager's
   exit calls ``shutdown(wait=True)``, which joins the workers and would
@@ -16,17 +15,10 @@ that PR 2/PR 4 hardened by hand in ``bulk.py``:
 * **BrokenProcessPool fan-out** — once the pool dies, every remaining
   future fails the same way, so they are all marked failed at once
   instead of surfacing one confusing traceback per task.
-
-This module extracts that pattern.  :func:`run_tasks` is the one-shot
-form (submit, collect, tear down); :class:`WorkerPool` keeps a pool
-alive across calls for callers with a long-lived worker set (the shard
-executor forks once per shard generation and reuses the workers for
-every query).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -54,83 +46,30 @@ def default_workers(n_tasks: int) -> int:
     return min(n_tasks, os.cpu_count() or 1)
 
 
-class WorkerPool:
-    """A lazily-created ProcessPoolExecutor with hardened teardown.
+def run_tasks(
+    fn: Callable[..., Any],
+    specs: Sequence[Any],
+    workers: Optional[int] = None,
+    task_timeout: Optional[float] = None,
+) -> list[Any]:
+    """Run ``fn(spec)`` for every spec in a fresh pool; results in spec
+    order.
 
-    ``run`` submits one task per spec and returns results in spec
-    order, substituting :class:`TaskFailure` for tasks that raised or
-    timed out — the caller decides whether a failure dooms the batch or
-    is retried elsewhere.  ``shutdown`` never joins hung workers; with
-    ``terminate=True`` it kills them outright.
+    A task that raised or ran past ``task_timeout`` seconds yields a
+    :class:`TaskFailure` entry — the caller decides whether a failure
+    dooms the batch or is retried elsewhere.  The pool is always shut
+    down without joining before returning, and after any timeout its
+    worker processes are terminated.
     """
-
-    def __init__(
-        self,
-        workers: int,
-        mp_context: Optional[str] = None,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: tuple = (),
-    ):
-        self.workers = max(1, workers)
-        self._mp_context = mp_context
-        self._initializer = initializer
-        self._initargs = initargs
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    # -------------------------------------------------------------- lifecycle --
-
-    @property
-    def active(self) -> bool:
-        return self._pool is not None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            context = (
-                multiprocessing.get_context(self._mp_context)
-                if self._mp_context is not None else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        return self._pool
-
-    def shutdown(self, terminate: bool = False) -> None:
-        pool = self._pool
-        if pool is None:
-            return
-        self._pool = None
-        pool.shutdown(wait=False, cancel_futures=True)
-        if terminate:
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except OSError:
-                    pass
-
-    # -------------------------------------------------------------- execution --
-
-    def run(
-        self,
-        fn: Callable[..., Any],
-        specs: Sequence[Any],
-        task_timeout: Optional[float] = None,
-    ) -> list[Any]:
-        """Run ``fn(spec)`` for every spec; results in spec order.
-
-        Failed or timed-out tasks yield :class:`TaskFailure` entries.
-        After any timeout the pool is torn down with ``terminate`` so a
-        genuinely stuck worker cannot wedge shutdown; after a
-        BrokenProcessPool all remaining tasks are marked failed at once
-        and the dead pool is discarded (the next ``run`` re-forks).
-        """
-        pool = self._ensure_pool()
-        results: list[Any] = [None] * len(specs)
-        timed_out = False
-        broken: Optional[BaseException] = None
+    if not specs:
+        return []
+    if workers is None:
+        workers = default_workers(len(specs))
+    pool = ProcessPoolExecutor(max_workers=max(1, workers))
+    results: list[Any] = [None] * len(specs)
+    timed_out = False
+    broken: Optional[BaseException] = None
+    try:
         futures = [pool.submit(fn, spec) for spec in specs]
         for i, future in enumerate(futures):
             if broken is not None:
@@ -149,27 +88,14 @@ class WorkerPool:
                 results[i] = TaskFailure(exc)
             except BaseException as exc:
                 results[i] = TaskFailure(exc)
-        if timed_out or broken is not None:
-            self.shutdown(terminate=timed_out)
-        return results
-
-
-def run_tasks(
-    fn: Callable[..., Any],
-    specs: Sequence[Any],
-    workers: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    mp_context: Optional[str] = None,
-) -> list[Any]:
-    """One-shot fan-out: pool up, run every spec, tear the pool down.
-
-    The pool is always shut down without joining (and with worker
-    termination after a timeout) before returning.
-    """
-    if workers is None:
-        workers = default_workers(len(specs))
-    pool = WorkerPool(workers, mp_context=mp_context)
-    try:
-        return pool.run(fn, specs, task_timeout=task_timeout)
     finally:
-        pool.shutdown()
+        # shutdown() drops the executor's process table, so take it first.
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        if timed_out:
+            for process in processes:
+                try:
+                    process.terminate()
+                except OSError:
+                    pass
+    return results

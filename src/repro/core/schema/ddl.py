@@ -30,6 +30,14 @@ REQUIRED_COLUMNS = {
     "trial": ("id", "name", "experiment"),
 }
 
+#: Each flexible table's UNIQUE table constraint: a name is unique
+#: within its parent.
+UNIQUE_CONSTRAINTS = {
+    "application": ("name",),
+    "experiment": ("application", "name"),
+    "trial": ("experiment", "name"),
+}
+
 #: Default metadata columns — the "such as" lists from paper §3.2.
 #: Deployments may add/remove these freely (tested in the schema tests).
 DEFAULT_METADATA = {
@@ -75,6 +83,10 @@ def _metadata_columns(table: str) -> str:
     return "".join(parts)
 
 
+def _unique(table: str) -> str:
+    return f"    UNIQUE ({', '.join(UNIQUE_CONSTRAINTS[table])})\n"
+
+
 def _value_columns() -> str:
     return "".join(f"    {name} {{{t}}},\n" for name, t in PROFILE_VALUE_COLUMNS)
 
@@ -84,22 +96,19 @@ _ABSTRACT_DDL = f"""
 CREATE TABLE application (
     id {{SERIAL}},
     name {{STRING}} NOT NULL,
-{_metadata_columns('application')}    UNIQUE (name)
-);
+{_metadata_columns('application')}{_unique('application')});
 
 CREATE TABLE experiment (
     id {{SERIAL}},
     name {{STRING}} NOT NULL,
     application {{INT}} NOT NULL REFERENCES application(id),
-{_metadata_columns('experiment')}    UNIQUE (application, name)
-);
+{_metadata_columns('experiment')}{_unique('experiment')});
 
 CREATE TABLE trial (
     id {{SERIAL}},
     name {{STRING}} NOT NULL,
     experiment {{INT}} NOT NULL REFERENCES experiment(id),
-{_metadata_columns('trial')}    UNIQUE (experiment, name)
-);
+{_metadata_columns('trial')}{_unique('trial')});
 
 CREATE TABLE metric (
     id {{SERIAL}},

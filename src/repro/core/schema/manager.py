@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
-from ...db.api import DBConnection
-from .ddl import DEFAULT_METADATA, REQUIRED_COLUMNS, TABLE_NAMES, ddl_statements
+from repro.obs.log import get_logger
+from repro.obs.metrics import registry as _registry
+
+from ...db.api import DBConnection, IntegrityError
+from .ddl import (
+    DEFAULT_METADATA, REQUIRED_COLUMNS, TABLE_NAMES, UNIQUE_CONSTRAINTS,
+    ddl_statements,
+)
+
+_log = get_logger("repro.schema")
 
 #: abstract → concrete types accepted by add_metadata_column
 _ABSTRACT_TYPES = ("INT", "DOUBLE", "STRING", "TEXT", "TIMESTAMP")
@@ -32,6 +40,8 @@ class SchemaManager:
     def install(self) -> None:
         """Create all schema tables and indexes (idempotent)."""
         if self.is_installed():
+            if self.connection.dialect.name == "minisql":
+                self._restore_unique_constraints()
             return
         for statement in ddl_statements(self.connection.dialect):
             self.connection.execute(statement)
@@ -40,6 +50,33 @@ class SchemaManager:
             # Freshly created, so the conversion copies zero rows.
             for table in self.COLUMNAR_TABLES:
                 self.connection.execute(f"PRAGMA columnar({table} on)")
+
+    def _restore_unique_constraints(self) -> None:
+        """Give a MiniSQL archive back the UNIQUE constraints it lost.
+
+        Archives whose dump did not yet render UNIQUE constraints reopen
+        without them.  Each missing one comes back as a unique index
+        under the name MiniSQL gives the constraint (``__uqc_<table>_0``),
+        which later dumps write as a table constraint again.  Stored rows
+        that already break a constraint are logged and counted, and the
+        archive opens without that constraint.
+        """
+        for table, columns in UNIQUE_CONSTRAINTS.items():
+            wanted = ",".join(columns)
+            indexes = self.connection.query(f"PRAGMA index_list({table})")
+            if any(unique and cols.lower() == wanted for _, unique, cols in indexes):
+                continue
+            try:
+                self.connection.execute(
+                    f"CREATE UNIQUE INDEX __uqc_{table}_0 "
+                    f"ON {table} ({', '.join(columns)})"
+                )
+            except IntegrityError as exc:
+                _registry.counter("schema.unique_violations").inc()
+                _log.warning(
+                    "unique_constraint_violated", table=table,
+                    columns=wanted, error=str(exc),
+                )
 
     def verify(self) -> list[str]:
         """Check required columns; returns a list of problems."""

@@ -34,7 +34,6 @@ _ILP_COLUMNS = (
     "inclusive_per_call, num_calls, num_subrs"
 )
 _ILP_PLACEHOLDERS = ", ".join("?" * 12)
-_ILP_COLUMN_LIST = tuple(c.strip() for c in _ILP_COLUMNS.split(","))
 _SUMMARY_COLUMNS = (
     "interval_event, metric, inclusive, inclusive_percentage, exclusive, "
     "exclusive_percentage, inclusive_per_call, num_calls, num_subrs"
@@ -228,14 +227,6 @@ class PerfDMFSession(DataSession):
                 f"INSERT INTO interval_location_profile ({_ILP_COLUMNS}) "
                 f"VALUES ({_ILP_PLACEHOLDERS})"
             )
-            # When a shard manager is attached to a file-backed minisql
-            # target, location profiles go to the per-shard archives via
-            # parallel writers instead of the single-writer executemany;
-            # rows buffer in the handle until the catalog transaction
-            # commits (so a rollback discards them with it).
-            shard_handle = conn.shard_ingest_handle(
-                "interval_location_profile", _ILP_COLUMN_LIST
-            )
             for m, metric_id in enumerate(metric_ids):
                 if bulk:
                     rows: Iterable[tuple] = _location_rows_bulk(
@@ -243,10 +234,7 @@ class PerfDMFSession(DataSession):
                     )
                 else:
                     rows = _location_rows(columnar, m, metric_id, event_ids)
-                if shard_handle is not None:
-                    shard_handle.add_rows(rows)
-                else:
-                    conn.executemany(ilp_sql, rows)
+                conn.executemany(ilp_sql, rows)
             insert_seconds = perf_counter() - insert_started
 
             index_started = perf_counter()
@@ -266,13 +254,6 @@ class PerfDMFSession(DataSession):
             if bulk:
                 conn.end_bulk()
             raise
-        if shard_handle is not None:
-            # Catalog rows are committed; ship the buffered location
-            # profiles to the shard files (parallel writers, one per
-            # shard).  Flush falls back to executemany on refusal.
-            insert_started = perf_counter()
-            shard_handle.flush(conn)
-            insert_seconds += perf_counter() - insert_started
 
         rows_stored = columnar.num_data_points
         total_seconds = perf_counter() - started

@@ -253,24 +253,6 @@ class DBConnection:
             self.end_bulk()
             self.commit()
 
-    def shard_ingest_handle(self, table: str, columns: Sequence[str]):
-        """A buffered handle for writing ``table`` rows straight into
-        MiniSQL's parallel shard files, or None whenever shard ingest
-        does not apply (sqlite backend, no ``PRAGMA shards`` manager,
-        in-memory shards, or a table already populated in the primary).
-
-        Callers add rows instead of running ``executemany`` and must
-        call ``handle.flush(connection)`` *after* committing the
-        surrounding transaction — flush falls back to a single-writer
-        ``executemany`` on this connection if parallel ingest refuses.
-        """
-        if self.backend != "minisql":
-            return None
-        mgr = getattr(getattr(self._raw, "_database", None), "shard_mgr", None)
-        if mgr is None:
-            return None
-        return mgr.ingest_handle(table, columns)
-
     def commit(self) -> None:
         with self._lock:
             self._raw.commit()

@@ -69,6 +69,15 @@ def dump_database_sql(database) -> Iterator[str]:
 def _create_table_sql(table, database) -> str:
     pk_columns = [c.name for c in table.columns if c.primary_key]
     composite = len(pk_columns) > 1
+    # UNIQUE constraints survive as their implicit indexes: ``__uq_*``
+    # for a column constraint, ``__uqc_*`` for a table constraint.
+    unique_columns = set()
+    unique_constraints = []
+    for name, index in table.indexes.items():
+        if name.startswith("__uq_"):
+            unique_columns.add(index.column_names[0].lower())
+        elif name.startswith("__uqc_"):
+            unique_constraints.append(", ".join(index.column_names))
     parts = []
     for column in table.columns:
         bits = [column.name, column.affinity]
@@ -78,6 +87,8 @@ def _create_table_sql(table, database) -> str:
                 bits.append("AUTOINCREMENT")
         elif column.not_null:
             bits.append("NOT NULL")
+        if column.lower_name in unique_columns:
+            bits.append("UNIQUE")
         if column.default is not None:
             bits.append(f"DEFAULT {_render_value(column.default)}")
         if column.references is not None:
@@ -88,6 +99,7 @@ def _create_table_sql(table, database) -> str:
         # sqlite rejects repeated inline PRIMARY KEY markers; a composite
         # key must be a single table-level constraint.
         parts.append(f"PRIMARY KEY ({', '.join(pk_columns)})")
+    parts.extend(f"UNIQUE ({columns})" for columns in unique_constraints)
     return f"CREATE TABLE {table.name} ({', '.join(parts)});"
 
 

@@ -31,7 +31,7 @@ from .ast_nodes import (
     DropTable, Explain, Insert, Pragma, RollbackTransaction, Select,
     Statement, Update,
 )
-from .errors import InterfaceError, ProgrammingError
+from .errors import InterfaceError, OperationalError, ProgrammingError
 from .executor import Executor, ResultSet
 from .parser import parse
 from .storage import Database
@@ -78,6 +78,38 @@ def _is_file_target(database: str) -> bool:
     return database.startswith("file:") or database.endswith(".mdb")
 
 
+def _refuse_shard_resident_rows(archive: str) -> None:
+    """Refuse an archive some of whose rows live outside it.
+
+    Releases that had ``PRAGMA shards`` could keep a table's rows only
+    in ``<archive>.shards/shard-K.mdb`` files, listed under ``resident``
+    in that directory's ``meta.json``; ``pending`` marked an interrupted
+    move between the archive and those files.  This release cannot read
+    them, so opening such an archive would show those tables empty.  A
+    meta that lists neither means every row is in the archive itself.
+    """
+    import json
+
+    try:
+        with open(archive + ".shards/meta.json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError):
+        return
+    if not isinstance(meta, dict):
+        return
+    tables = set(meta.get("resident") or ())
+    pending = meta.get("pending")
+    if isinstance(pending, dict):
+        tables.add(pending.get("table") or "?")
+    if tables:
+        raise OperationalError(
+            f"archive {archive} keeps rows of {', '.join(sorted(tables))} "
+            f"in {archive}.shards, which this release cannot read; run "
+            "PRAGMA shards(off) on it with a release from before sharding "
+            "was removed to move them back into the archive"
+        )
+
+
 def connect(database: str = ":memory:", isolation_level: Optional[str] = "") -> "Connection":
     """Open a MiniSQL connection.
 
@@ -102,14 +134,9 @@ def connect(database: str = ":memory:", isolation_level: Optional[str] = "") -> 
         with _SHARED_LOCK:
             db = _FILE_DATABASES.get(key)
             if db is None:
+                _refuse_shard_resident_rows(key)
                 db = _wal.open_file_database(key)
                 _FILE_DATABASES[key] = db
-                # Re-attach a persisted shard configuration (PRAGMA
-                # shards on a previous open); recovers any half-finished
-                # shard ingest/hydration from its pending marker.
-                from .shard import ShardManager
-
-                db.shard_mgr = ShardManager.attach(db)
     else:
         with _SHARED_LOCK:
             db = _SHARED_DATABASES.setdefault(database, Database())
@@ -135,17 +162,8 @@ def reset_shared_databases() -> None:
     helper).  File-backed databases are checkpointed first so their
     archives stay loadable by a later open."""
     with _SHARED_LOCK:
-        for db in _SHARED_DATABASES.values():
-            if db.shard_mgr is not None:
-                db.shard_mgr.close()
-                db.shard_mgr = None
         _SHARED_DATABASES.clear()
         for db in _FILE_DATABASES.values():
-            if db.shard_mgr is not None:
-                # Shard files are opened directly (not via connect), so
-                # they are not in _FILE_DATABASES — close them here.
-                db.shard_mgr.close()
-                db.shard_mgr = None
             if db.wal is not None:
                 try:
                     if not db.in_transaction:
@@ -177,10 +195,6 @@ class Connection:
             if self.in_transaction:
                 self.rollback()
             database = self._database
-            if database.shard_mgr is not None:
-                # Drop the scatter worker pool; shard state and files
-                # stay (another connection reforks the pool lazily).
-                database.shard_mgr.on_connection_close()
             if database.wal is not None:
                 # Fold the WAL into a fresh checkpoint so a clean close
                 # leaves a plain (sqlite-loadable) dump and an empty log.
@@ -329,24 +343,14 @@ class Connection:
                 snap_mgr is not None
                 and isinstance(statement, Select)
                 and not self.in_transaction
-                and self._database.shard_mgr is None
             ):
                 # MVCC snapshot read: execute against the pinned
                 # copy-on-write snapshot — never touches (or waits on)
                 # the writer lock.  Inside an explicit transaction the
-                # connection reads its own uncommitted state instead,
-                # and sharded databases keep their scatter-gather path
-                # (shard-resident tables may not be hydrated locally).
+                # connection reads its own uncommitted state instead.
                 self._database.stats["snapshot_selects"] += 1
                 _snapshot_reads.inc()
                 return Executor(snap_mgr.pin()).execute(statement, params)
-            mgr = self._database.shard_mgr
-            if mgr is not None:
-                # Hydrate shard-resident tables the statement needs in
-                # the primary (shard-routable SELECTs hydrate nothing).
-                # Must run before any lock below: hydration takes the
-                # database writer lock itself.
-                mgr.ensure_local(statement)
             mutating = isinstance(statement, _MUTATING) or (
                 isinstance(statement, Explain)
                 and statement.analyze
@@ -460,11 +464,6 @@ class Cursor:
             and len(statement.rows) == 1
         ):
             # Bulk-insert fast path: one lock acquisition, one dispatch.
-            mgr = connection._database.shard_mgr
-            if mgr is not None:
-                # This path bypasses _run, so re-home shard-resident
-                # rows here before taking any lock.
-                mgr.ensure_local(statement)
             observing = connection._observing()
             t0 = time.perf_counter() if observing else 0.0
             with connection._lock:

@@ -197,15 +197,6 @@ class Executor:
         """
         steps: list[tuple[str, Optional[str], Optional[str], Optional[str]]] = []
         if isinstance(inner, Select) and inner.table is not None:
-            mgr = self.database.shard_mgr
-            if mgr is not None:
-                shard_steps = mgr.explain_steps(self, inner, params)
-                if shard_steps is not None:
-                    # The statement routes through the shards: report
-                    # the scatter/gather plan (per-shard rows and times
-                    # under ANALYZE) instead of the access path the
-                    # primary would have used.
-                    return shard_steps
             table = self.database.table(inner.table.name)
             conjuncts = _conjuncts(inner.where) if not inner.joins else []
             order_by = inner.order_by if _can_push_order(inner) else []
@@ -608,10 +599,6 @@ class Executor:
             return self._pragma_snapshot_isolation(stmt)
         if stmt.name == "columnar":
             return self._pragma_columnar(stmt)
-        if stmt.name == "shards":
-            return self._pragma_shards(stmt)
-        if stmt.name == "shard_parallel":
-            return self._pragma_shard_parallel(stmt)
         # Unknown pragmas are silently ignored, like sqlite.
         return ResultSet([], [], rowcount=0)
 
@@ -699,82 +686,6 @@ class Executor:
             "PRAGMA columnar expects status, on/off, or <table> on/off/"
             f"status, got {stmt.argument!r}"
         )
-
-    def _pragma_shards(self, stmt: Pragma) -> ResultSet:
-        """``PRAGMA shards`` — scatter-gather shard control.
-
-        Forms: ``shards`` / ``shards(status)`` reports the current
-        configuration; ``shards(<n>)`` attaches a shard manager with
-        ``n`` shards (or resizes an existing one — ``shards(1)`` keeps
-        the manager attached but routes every query single-process);
-        ``shards(off)`` hydrates any resident tables back into the
-        primary, tears the manager down, and removes the persisted
-        configuration.
-        """
-        database = self.database
-        argument = str(stmt.argument or "").strip().lower()
-        mgr = database.shard_mgr
-        if argument in ("", "status"):
-            if mgr is None:
-                return ResultSet(["key", "value"], [("enabled", 0)])
-            return ResultSet(["key", "value"], mgr.status_rows())
-        if argument in self._OFF:
-            if mgr is not None:
-                if database.in_transaction:
-                    raise OperationalError(
-                        "cannot reconfigure shards inside a transaction"
-                    )
-                mgr.detach()
-                database.shard_mgr = None
-            return ResultSet([], [], rowcount=0)
-        try:
-            nshards = int(argument)
-        except ValueError:
-            raise ProgrammingError(
-                "PRAGMA shards expects a shard count, off, or status, "
-                f"got {stmt.argument!r}"
-            ) from None
-        if nshards < 1:
-            raise ProgrammingError("PRAGMA shards expects a count >= 1")
-        if database.in_transaction:
-            raise OperationalError(
-                "cannot reconfigure shards inside a transaction"
-            )
-        if mgr is None:
-            from .shard import ShardManager
-
-            database.shard_mgr = ShardManager.create(database, nshards)
-        else:
-            mgr.reconfigure(nshards)
-        return ResultSet([], [], rowcount=0)
-
-    def _pragma_shard_parallel(self, stmt: Pragma) -> ResultSet:
-        """``PRAGMA shard_parallel(on|off|auto|status)`` — worker-pool
-        policy for shard scatter: ``auto`` (default) uses the pool only
-        on multi-core hosts, ``on`` forces it wherever fork is
-        available, ``off`` keeps scatter serial in-process.
-        """
-        database = self.database
-        argument = str(stmt.argument or "").strip().lower()
-        mgr = database.shard_mgr
-        if argument in ("", "status"):
-            value = mgr.parallel if mgr is not None else "off"
-            return ResultSet(["shard_parallel"], [(value,)])
-        if argument in self._ON:
-            argument = "on"
-        elif argument in self._OFF:
-            argument = "off"
-        if argument not in ("on", "off", "auto"):
-            raise ProgrammingError(
-                "PRAGMA shard_parallel expects on/off/auto/status, "
-                f"got {stmt.argument!r}"
-            )
-        if mgr is None:
-            raise OperationalError(
-                "PRAGMA shard_parallel requires PRAGMA shards(<n>) first"
-            )
-        mgr.set_parallel(argument)
-        return ResultSet([], [], rowcount=0)
 
     def _integrity_check(self) -> list[str]:
         """Cross-check every live index against the row store.
@@ -1005,15 +916,6 @@ class Executor:
     def _execute_select(
         self, stmt: Select, params: Sequence[Any]
     ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        # Scatter-gather route: when a shard manager is attached and the
-        # splitter proves the statement distributive, the shards answer
-        # it (shard fragment/merge executors run on shard databases with
-        # no manager of their own, so this cannot recurse).
-        mgr = self.database.shard_mgr
-        if mgr is not None:
-            routed = mgr.try_select(self, stmt, params)
-            if routed is not None:
-                return routed
         columns, rows = self._execute_select_core(stmt, params)
         node = stmt
         while node.compound is not None:

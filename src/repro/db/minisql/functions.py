@@ -353,67 +353,6 @@ class TotalAgg(Aggregate):
         return self.total
 
 
-class WelfordStateAgg(_MomentAgg):
-    """Internal shard-side partial for STDDEV/VARIANCE (``__WELFORD``).
-
-    Runs the ordinary Welford recurrence, but finalizes to a packed
-    ``"n|mean|m2"`` text state (``repr`` round-trips floats exactly)
-    instead of a statistic, so the gather step can Chan-merge the
-    per-shard moments.  The ``__`` prefix marks it internal: only the
-    shard splitter constructs calls to it.
-    """
-
-    def finalize(self) -> str:
-        return f"{self.n}|{self.mean!r}|{self.m2!r}"
-
-
-class _WelfordMergeAgg(Aggregate):
-    """Merge ``__WELFORD`` packed states (Chan et al. pairwise update)."""
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def step(self, value: Any) -> None:
-        if value is None:
-            return
-        parts = str(value).split("|")
-        if len(parts) == 3:
-            n, mean, m2 = int(parts[0]), float(parts[1]), float(parts[2])
-        else:
-            # A raw sample instead of a packed state: merge it as a
-            # single-observation state (n=1, mean=x, m2=0), which makes
-            # the merge aggregates valid plain STDDEV/VARIANCE too.
-            n, mean, m2 = 1, float(value), 0.0
-        if n == 0:
-            return
-        if self.n == 0:
-            self.n, self.mean, self.m2 = n, mean, m2
-            return
-        total = self.n + n
-        delta = mean - self.mean
-        self.m2 += m2 + delta * delta * (self.n * n / total)
-        self.mean += delta * n / total
-        self.n = total
-
-    def _variance(self) -> Any:
-        if self.n < 2:
-            return None
-        return self.m2 / (self.n - 1)
-
-
-class WelfordVarianceAgg(_WelfordMergeAgg):
-    def finalize(self) -> Any:
-        return self._variance()
-
-
-class WelfordStddevAgg(_WelfordMergeAgg):
-    def finalize(self) -> Any:
-        var = self._variance()
-        return None if var is None else math.sqrt(var)
-
-
 AGGREGATE_FUNCTIONS: dict[str, type[Aggregate]] = {
     "COUNT": CountAgg,
     "SUM": SumAgg,
@@ -425,11 +364,6 @@ AGGREGATE_FUNCTIONS: dict[str, type[Aggregate]] = {
     "VARIANCE": VarianceAgg,
     "GROUP_CONCAT": GroupConcatAgg,
     "TOTAL": TotalAgg,
-    # Internal shard partials (see repro.db.minisql.shard); the __
-    # prefix keeps them out of ordinary SQL by convention.
-    "__WELFORD": WelfordStateAgg,
-    "__WELFORD_STDDEV": WelfordStddevAgg,
-    "__WELFORD_VARIANCE": WelfordVarianceAgg,
 }
 
 

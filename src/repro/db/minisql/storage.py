@@ -266,8 +266,8 @@ class Table:
         self._next_rowid = 1
         self.last_autoincrement = 0
         #: Data-version counter: bumped on every row mutation and column
-        #: addition.  The shard manager keys its derived per-shard
-        #: copies on (schema_version, version) to invalidate lazily.
+        #: addition.  Snapshot reads key their copy-on-write clones on
+        #: (schema_version, version) to invalidate lazily.
         self.version = 0
         #: True while the table is inside an active bulk load (some of
         #: its secondary indexes may be suspended/stale).
@@ -1164,9 +1164,6 @@ class Database:
         "bulk_loads", "bulk_rows", "bulk_index_rebuilds",
         "plan_cache_hits", "plan_cache_misses", "compile_fallbacks",
         "vector_selects", "vector_fallbacks", "columnar_conversions",
-        "shard_queries", "shard_pool_queries", "shard_fallbacks",
-        "shard_bypasses", "shard_rebuilds", "shard_hydrations",
-        "shard_parallel_ingests",
         "snapshot_selects", "snapshot_refreshes", "snapshot_table_clones",
         "snapshot_stale_serves",
     )
@@ -1207,10 +1204,6 @@ class Database:
         #: auto-committed operations.
         self._txn_seq = 0
         self._txn_id = 0
-        #: Attached :class:`~repro.db.minisql.shard.ShardManager` when
-        #: ``PRAGMA shards(<n>)`` is active; None otherwise.  Duck-typed
-        #: so this module never imports the shard machinery.
-        self.shard_mgr = None
         #: Attached :class:`~repro.db.minisql.snapshot.SnapshotManager`
         #: when ``PRAGMA snapshot_isolation(on)`` is active; None
         #: otherwise.  Duck-typed so this module never imports the

@@ -117,7 +117,7 @@ def write_bench_json(
 ) -> dict[str, Any]:
     """Merge one benchmark section into ``path`` under the envelope.
 
-    All writers (E1/E6 via the benchmarks conftest, E11–E15 directly)
+    All writers (E1/E6 via the benchmarks conftest, E12–E17 directly)
     go through here, so every emitted file has the same shape and
     ``bench ingest`` needs no per-file special cases.  A pre-envelope
     file is upgraded in place: its top-level dict sections move under

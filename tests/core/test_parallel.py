@@ -1,19 +1,17 @@
-"""Unit tests for the shared process-pool plumbing (repro.core.parallel).
+"""Unit tests for the process-pool plumbing (repro.core.parallel).
 
-Both fan-out subsystems (bulk-ingest parsing, shard query execution)
-lean on these semantics: spec-order results, TaskFailure sentinels
-instead of raised exceptions, termination after timeouts, and pool
-re-creation after a BrokenProcessPool.
+Bulk-ingest parsing leans on these semantics: spec-order results,
+TaskFailure sentinels instead of raised exceptions, termination after
+timeouts, and BrokenProcessPool fan-out.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
-import pytest
-
-from repro.core.parallel import TaskFailure, WorkerPool, default_workers, run_tasks
+from repro.core.parallel import TaskFailure, default_workers, run_tasks
 
 
 def _square(x):
@@ -31,10 +29,6 @@ def _sleep(seconds):
 
 def _die(x):
     os._exit(1)
-
-
-def _identify(_x):
-    return os.getpid()
 
 
 class TestRunTasks:
@@ -68,81 +62,25 @@ class TestRunTasks:
         assert isinstance(results[0], TaskFailure)
         assert results[0].timed_out
 
+    def test_timeout_tears_pool_down(self):
+        before = {p.pid for p in multiprocessing.active_children()}
+        results = run_tasks(_sleep, [30.0], workers=1, task_timeout=0.5)
+        assert results[0].timed_out
+        # Terminated, not joined: the stuck worker must not outlive the
+        # batch (it would sleep on for 30 s).
+        deadline = time.monotonic() + 10.0
+        while any(p.pid not in before for p in multiprocessing.active_children()):
+            assert time.monotonic() < deadline, "timed-out worker still alive"
+            time.sleep(0.05)
+
     def test_worker_death_is_broken_pool(self):
         results = run_tasks(_die, [1, 2], workers=1)
         assert all(isinstance(r, TaskFailure) for r in results)
         assert any(r.broken_pool for r in results)
 
-
-class TestWorkerPool:
-    def test_pool_is_lazy_and_reusable(self):
-        pool = WorkerPool(workers=1)
-        assert not pool.active
-        try:
-            assert pool.run(_square, [6]) == [36]
-            assert pool.active
-            first = pool.run(_identify, [None])[0]
-            second = pool.run(_identify, [None])[0]
-            # Same worker process across calls — the pool is persistent,
-            # not re-forked per batch.
-            assert first == second
-        finally:
-            pool.shutdown()
-        assert not pool.active
-
-    def test_broken_pool_discarded_then_reforked(self):
-        pool = WorkerPool(workers=1)
-        try:
-            results = pool.run(_die, [1])
-            assert isinstance(results[0], TaskFailure)
-            assert not pool.active  # dead pool discarded eagerly
-            assert pool.run(_square, [9]) == [81]  # next run re-forks
-        finally:
-            pool.shutdown()
-
-    def test_timeout_tears_pool_down(self):
-        pool = WorkerPool(workers=1)
-        try:
-            results = pool.run(_sleep, [30.0], task_timeout=0.5)
-            assert results[0].timed_out
-            # Terminated, not joined: the stuck worker must not survive
-            # into the next batch.
-            assert not pool.active
-        finally:
-            pool.shutdown(terminate=True)
-
-    def test_shutdown_idempotent(self):
-        pool = WorkerPool(workers=1)
-        pool.shutdown()
-        pool.shutdown(terminate=True)
-
     def test_workers_floor_is_one(self):
-        assert WorkerPool(workers=0).workers == 1
-        assert WorkerPool(workers=-3).workers == 1
-
-    def test_fork_context_with_initializer(self):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        pool = WorkerPool(
-            workers=1, mp_context="fork",
-            initializer=_init_marker, initargs=(42,),
-        )
-        try:
-            assert pool.run(_read_marker, [None]) == [42]
-        finally:
-            pool.shutdown()
-
-
-_MARKER = None
-
-
-def _init_marker(value):
-    global _MARKER
-    _MARKER = value
-
-
-def _read_marker(_x):
-    return _MARKER
+        assert run_tasks(_square, [6], workers=0) == [36]
+        assert run_tasks(_square, [7], workers=-3) == [49]
 
 
 class TestDefaultWorkers:

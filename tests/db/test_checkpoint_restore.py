@@ -23,6 +23,7 @@ import json
 import math
 import os
 import pickle
+import re
 import sqlite3
 import subprocess
 import sys
@@ -41,6 +42,7 @@ from repro.db.minisql.expr import evaluate
 from repro.db.minisql.parser import parse
 from repro.db.minisql.storage import Database
 from repro.obs import log as obslog
+from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import tracer
 from repro.tau.apps import EVH1
 from tests.db import test_wal
@@ -71,9 +73,8 @@ def _canon(value):
 
 
 def _is_unique_constraint(name: str) -> bool:
-    # The implicit indexes of UNIQUE column and table constraints.  The
-    # dump's CREATE TABLE does not render those constraints, so no
-    # reopen restores them (test_unique_constraints_survive_reopen).
+    # The implicit indexes of UNIQUE column and table constraints; the
+    # test_unique_constraints_* tests check that those survive.
     return name.startswith(("__uq_", "__uqc_"))
 
 
@@ -470,20 +471,108 @@ def test_trailer_without_index_methods_still_opens(reopened, tmp_path):
         db.wal.close()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the dump's CREATE TABLE does not render UNIQUE constraints",
-)
 def test_unique_constraints_survive_reopen(tmp_path):
     archive = tmp_path / "u.mdb"
     conn = minisql.connect(str(archive))
     conn.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, name TEXT, UNIQUE (name))")
     conn.execute("INSERT INTO u (name) VALUES ('a')")
+    conn.commit()
     conn.close()
     minisql.reset_shared_databases()
     conn = minisql.connect(str(archive))
     with pytest.raises(minisql.IntegrityError):
         conn.execute("INSERT INTO u (name) VALUES ('a')")
+
+
+def test_unique_constraints_survive_wal_replay(tmp_path):
+    archive = tmp_path / "u.mdb"
+    conn = minisql.connect(str(archive))
+    conn.execute(
+        "CREATE TABLE u (id INTEGER PRIMARY KEY, name TEXT UNIQUE, "
+        "a INTEGER, b INTEGER, UNIQUE (a, b))"
+    )
+    conn.execute("INSERT INTO u (name, a, b) VALUES ('x', 1, 2)")
+    conn.commit()
+    test_wal._simulate_crash(archive)  # the table lives only in the log
+    conn = minisql.connect(str(archive))
+    for sql in (
+        "INSERT INTO u (name, a, b) VALUES ('x', 3, 4)",
+        "INSERT INTO u (name, a, b) VALUES ('y', 1, 2)",
+    ):
+        with pytest.raises(minisql.IntegrityError):
+            conn.execute(sql)
+        conn.rollback()
+    assert conn.execute("SELECT count(*) FROM u").fetchall() == [(1,)]
+
+
+def _drop_unique_clauses(archive: Path) -> None:
+    """Rewrite a closed archive as a dump that did not render UNIQUE
+    constraints wrote it: the same text without those clauses."""
+    with open(archive, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    stripped = re.sub(r", UNIQUE \([^)]*\)", "", text)
+    assert stripped != text
+    with open(archive, "w", encoding="utf-8", newline="") as fh:
+        fh.write(stripped)
+
+
+_PERFDMF_DUPLICATES = (
+    "INSERT INTO application (name) VALUES ('evh1')",
+    "INSERT INTO experiment (application, name) VALUES (1, 'scaling')",
+    "INSERT INTO trial (experiment, name) VALUES (1, 'p4')",
+)
+
+
+def test_older_archive_gets_its_perfdmf_unique_constraints_back(tmp_path):
+    archive = tmp_path / "old.mdb"
+    _build_perfdmf(archive)
+    minisql.reset_shared_databases()
+    _drop_unique_clauses(archive)
+    conn = minisql.connect(str(archive))
+    assert not [n for n in conn._database.index_owner if n.startswith("__uq")]
+    minisql.reset_shared_databases()
+
+    session = PerfDMFSession(f"minisql://{archive}")
+    for sql in _PERFDMF_DUPLICATES:
+        with pytest.raises(minisql.IntegrityError):
+            session.connection.execute(sql)
+        session.connection.rollback()
+    session.close()
+    minisql.reset_shared_databases()
+    text = archive.read_text(encoding="utf-8")
+    for clause in ("UNIQUE (name)", "UNIQUE (application, name)",
+                   "UNIQUE (experiment, name)"):
+        assert clause in text
+
+
+def test_older_archive_with_duplicate_names_still_opens(tmp_path):
+    archive = tmp_path / "dup.mdb"
+    _build_perfdmf(archive)
+    minisql.reset_shared_databases()
+    _drop_unique_clauses(archive)
+    conn = minisql.connect(str(archive))
+    conn.execute(_PERFDMF_DUPLICATES[0])  # the lost constraint let it in
+    conn.commit()
+    conn.close()
+    minisql.reset_shared_databases()
+
+    violations = metrics_registry.counter("schema.unique_violations")
+    before = violations.value
+    stream = io.StringIO()
+    obslog.configure(stream=stream)
+    try:
+        session = PerfDMFSession(f"minisql://{archive}")
+    finally:
+        obslog.configure()
+    assert violations.value == before + 1
+    (record,) = [json.loads(raw) for raw in stream.getvalue().splitlines()]
+    assert record["event"] == "unique_constraint_violated"
+    assert record["table"] == "application"
+    assert session.connection.query("SELECT count(*) FROM application") == [(2,)]
+    for sql in _PERFDMF_DUPLICATES[1:]:
+        with pytest.raises(minisql.IntegrityError):
+            session.connection.execute(sql)
+        session.connection.rollback()
 
 
 def test_non_finite_values_load_into_sqlite(reopened):

@@ -82,6 +82,23 @@ class TestRestore:
         (count,) = raw.execute("SELECT count(*) FROM vals").fetchone()
         assert count == 4
 
+    def test_unique_constraints_restore_into_sqlite(self, tmp_path):
+        conn = minisql.connect()
+        conn.execute(
+            "CREATE TABLE u (id INTEGER PRIMARY KEY, name TEXT UNIQUE, "
+            "a INTEGER, b INTEGER, UNIQUE (a, b))"
+        )
+        conn.execute("INSERT INTO u (name, a, b) VALUES ('x', 1, 2)")
+        conn.commit()
+        raw = sqlite3.connect(":memory:")
+        raw.executescript(save_database(conn, tmp_path / "dump.sql").read_text())
+        for sql in (
+            "INSERT INTO u (name, a, b) VALUES ('x', 3, 4)",
+            "INSERT INTO u (name, a, b) VALUES ('y', 1, 2)",
+        ):
+            with pytest.raises(sqlite3.IntegrityError):
+                raw.execute(sql)
+
     def test_float_fidelity(self, populated, tmp_path):
         path = save_database(populated, tmp_path / "dump.sql")
         fresh = minisql.connect()

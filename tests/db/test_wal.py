@@ -8,6 +8,7 @@ must reconstruct state from checkpoint + WAL alone.
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import pytest
@@ -457,3 +458,42 @@ class TestTornTail:
         count = 0 if table is None else len(table.rows)
         assert count < 30
         recovered.wal.close()
+
+
+class TestShardResidentArchives:
+    """Releases that had ``PRAGMA shards`` could keep a table's rows only
+    in ``<archive>.shards/shard-K.mdb``; this release cannot read them,
+    so it must refuse such an archive rather than show the table empty."""
+
+    def _archive_with_meta(self, archive, resident, pending):
+        conn = _open(archive)
+        conn.execute("CREATE TABLE ilp (x REAL)")
+        conn.execute("INSERT INTO ilp (x) VALUES (1.5)")
+        conn.commit()
+        conn.close()
+        ms_engine.reset_shared_databases()
+        directory = archive.parent / (archive.name + ".shards")
+        directory.mkdir()
+        (directory / "meta.json").write_text(json.dumps({
+            "version": 1, "nshards": 2, "parallel": "auto",
+            "resident": resident, "pending": pending,
+        }))
+        return archive.read_bytes()
+
+    @pytest.mark.parametrize("resident, pending", [
+        ({"ilp": [500, 500]}, None),
+        ({}, {"op": "ingest", "table": "ilp", "counts": [0, 0]}),
+    ], ids=["resident", "pending"])
+    def test_rows_in_shard_files_refuse_the_open(self, archive, resident, pending):
+        before = self._archive_with_meta(archive, resident, pending)
+        with pytest.raises(
+            minisql.OperationalError, match=r"rows of ilp .*PRAGMA shards\(off\)"
+        ):
+            _open(archive)
+        assert archive.read_bytes() == before
+        assert str(archive.resolve()) not in ms_engine._FILE_DATABASES
+
+    def test_meta_without_resident_rows_opens(self, archive):
+        self._archive_with_meta(archive, {}, None)
+        conn = _open(archive)
+        assert conn.execute("SELECT x FROM ilp").fetchall() == [(1.5,)]

@@ -136,6 +136,21 @@ CORPUS = [
     ("SELECT dept_id, count(*) FROM emp GROUP BY dept_id "
      "HAVING count(*) > 1 ORDER BY dept_id", ()),
     ("SELECT stddev(salary) FROM emp", ()),
+    # total() is 0.0 where sum() is NULL (the all-NULL dept_id IS NULL
+    # group); group_concat joins each group's rows in rowid order
+    ("SELECT dept_id, total(bonus), sum(bonus) FROM emp "
+     "GROUP BY dept_id ORDER BY dept_id", ()),
+    ("SELECT dept_id, group_concat(hired) FROM emp "
+     "GROUP BY dept_id ORDER BY dept_id", ()),
+    # avg and total over an empty relation
+    ("SELECT avg(salary), total(salary), count(*) FROM emp "
+     "WHERE dept_id = 99", ()),
+    # avg of an all-NULL group; stddev of a one-row group (dept 3) is NULL
+    ("SELECT dept_id, avg(salary), stddev(salary) FROM emp "
+     "GROUP BY dept_id ORDER BY dept_id", ()),
+    # count(DISTINCT ...) per group: the 1 group holds depts 1, 1, 2, 2
+    ("SELECT salary > 75, count(DISTINCT dept_id), count(*) FROM emp "
+     "GROUP BY salary > 75 ORDER BY 1", ()),
     # --- joins -----------------------------------------------------------
     ("SELECT e.name, d.name FROM emp e JOIN dept d ON e.dept_id = d.id "
      "ORDER BY e.name", ()),
