@@ -1,16 +1,14 @@
 """Callpath utilities.
 
 TAU callpath profiles name events ``"main => solve => MPI_Send()"``.
-These helpers reconstruct the call graph (networkx digraph), derive a
-flat profile from callpath data, and answer parent/child queries — the
-machinery behind ParaProf's callgraph displays.
+These helpers reconstruct the call graph (a small stdlib digraph),
+derive a flat profile from callpath data, and answer parent/child
+queries — the machinery behind ParaProf's callgraph displays.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from .events import CALLPATH_SEPARATOR, IntervalEvent
 
@@ -32,24 +30,67 @@ def join_callpath(components: list[str]) -> str:
     return CALLPATH_SEPARATOR.join(components)
 
 
-def build_call_graph(datasource: "DataSource") -> nx.DiGraph:
-    """Build the trial's call graph from its callpath events.
+class CallGraph:
+    """A trial's call graph: nodes are flat event names, and an edge
+    (a, b) means a directly calls b somewhere in the trial.
 
-    Nodes are flat event names; an edge (a, b) means a directly calls b
-    somewhere in the trial.  Edge attribute ``paths`` counts how many
-    distinct callpath events witness the edge.
+    ``succ[a][b]`` is the edge's ``paths`` count: how many callpath
+    events witness it.  Nodes, and each node's callees, keep the order
+    in which they first appear, so :attr:`edges` runs grouped by caller
+    in node order.
     """
-    graph = nx.DiGraph()
+
+    def __init__(self) -> None:
+        self.succ: dict[str, dict[str, int]] = {}
+
+    @property
+    def edges(self) -> dict[tuple[str, str], int]:
+        """``(caller, callee) -> paths``."""
+        return {
+            (caller, callee): paths
+            for caller, callees in self.succ.items()
+            for callee, paths in callees.items()
+        }
+
+    def longest_path_length(self) -> Optional[int]:
+        """Edges on the longest call chain, or None when recursion makes
+        the graph cyclic.
+
+        Kahn's sort: a node is placed once all its callers are, and its
+        depth is one more than its deepest caller's.  Every edge counts
+        one; ``paths`` is not a weight.
+        """
+        waiting = dict.fromkeys(self.succ, 0)
+        for callees in self.succ.values():
+            for callee in callees:
+                waiting[callee] += 1
+        ready = [node for node, count in waiting.items() if count == 0]
+        depth = dict.fromkeys(self.succ, 0)
+        placed = 0
+        while ready:
+            node = ready.pop()
+            placed += 1
+            for callee in self.succ[node]:
+                depth[callee] = max(depth[callee], depth[node] + 1)
+                waiting[callee] -= 1
+                if waiting[callee] == 0:
+                    ready.append(callee)
+        if placed < len(self.succ):
+            return None
+        return max(depth.values(), default=0)
+
+
+def build_call_graph(datasource: "DataSource") -> CallGraph:
+    """Build the trial's call graph from its callpath events."""
+    graph = CallGraph()
+    succ = graph.succ
     for event in datasource.interval_events.values():
         components = split_callpath(event.name)
         for component in components:
-            if not graph.has_node(component):
-                graph.add_node(component)
+            succ.setdefault(component, {})
         for caller, callee in zip(components, components[1:]):
-            if graph.has_edge(caller, callee):
-                graph[caller][callee]["paths"] += 1
-            else:
-                graph.add_edge(caller, callee, paths=1)
+            callees = succ[caller]
+            callees[callee] = callees.get(callee, 0) + 1
     return graph
 
 
@@ -108,9 +149,9 @@ def flatten_callpaths(datasource: "DataSource") -> "DataSource":
 def root_events(datasource: "DataSource") -> list[IntervalEvent]:
     """Events that never appear as a callee (entry points like main)."""
     graph = build_call_graph(datasource)
-    roots = [n for n in graph.nodes if graph.in_degree(n) == 0]
-    out = []
-    for event in datasource.interval_events.values():
-        if not event.is_callpath() and event.name in roots:
-            out.append(event)
-    return out
+    callees = {callee for _caller, callee in graph.edges}
+    return [
+        event for event in datasource.interval_events.values()
+        if not event.is_callpath()
+        and event.name in graph.succ and event.name not in callees
+    ]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..model import DataSource
 from .stats import event_statistics
@@ -82,6 +81,9 @@ def _fit(
     values: np.ndarray,
     bounds=(-np.inf, np.inf),
 ) -> Optional[ScalingModel]:
+    # scipy.optimize costs ~0.5 s to import; only a fit pays for it.
+    from scipy import optimize
+
     def vector_fn(p, *params):
         return np.array([fn(pi, params) for pi in p])
 

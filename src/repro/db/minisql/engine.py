@@ -159,14 +159,15 @@ def register_shared_database(name: str, database: Database) -> str:
 
 def reset_shared_databases() -> None:
     """Drop all named shared and file-backed databases (test isolation
-    helper).  File-backed databases are checkpointed first so their
-    archives stay loadable by a later open."""
+    helper).  File-backed databases changed since their last checkpoint
+    are checkpointed first so their archives stay loadable by a later
+    open."""
     with _SHARED_LOCK:
         _SHARED_DATABASES.clear()
         for db in _FILE_DATABASES.values():
             if db.wal is not None:
                 try:
-                    if not db.in_transaction:
+                    if not db.in_transaction and db.wal.changed_since_checkpoint():
                         db.wal.checkpoint(db)
                 except OSError:
                     pass  # archive directory may be gone (tmp_path teardown)
@@ -194,14 +195,16 @@ class Connection:
         if not self._closed:
             if self.in_transaction:
                 self.rollback()
-            database = self._database
-            if database.wal is not None:
+            wal = self._database.wal
+            if wal is not None:
                 # Fold the WAL into a fresh checkpoint so a clean close
                 # leaves a plain (sqlite-loadable) dump and an empty log.
-                # The txn lock keeps another connection's open transaction
-                # out of the dump.
-                with database.txn_lock:
-                    database.wal.checkpoint(database)
+                # After no change the archive already is one, and is
+                # left untouched.  The txn lock keeps another
+                # connection's open transaction out of the dump.
+                with self._database.txn_lock:
+                    if wal.changed_since_checkpoint():
+                        wal.checkpoint(self._database)
             self._closed = True
 
     def _check_open(self) -> None:

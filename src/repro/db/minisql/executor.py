@@ -675,12 +675,16 @@ class Executor:
                 if changed:
                     _COLUMNAR_CONVERSIONS.inc()
                     wal = database.wal
-                    if wal is not None and not database.bulk_mode:
+                    if wal is not None:
                         # Persist the new mode: the WAL stream itself is
                         # storage-agnostic, so only a checkpoint trailer
-                        # records which tables are columnar.
-                        with database.txn_lock:
-                            wal.checkpoint(database)
+                        # records which tables are columnar.  Mid-load
+                        # that waits for the next checkpoint, at the
+                        # latest the close.
+                        wal.note_trailer_change()
+                        if not database.bulk_mode:
+                            with database.txn_lock:
+                                wal.checkpoint(database)
                 return ResultSet([], [], rowcount=0)
         raise ProgrammingError(
             "PRAGMA columnar expects status, on/off, or <table> on/off/"

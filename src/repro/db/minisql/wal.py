@@ -211,6 +211,9 @@ class WriteAheadLog:
         #: this as the resync watermark — a replica whose applied LSN is
         #: behind it can no longer tail incrementally.
         self.checkpoint_lsn = 0
+        #: A change only the checkpoint trailer records (a table's
+        #: storage mode switched during a bulk load) awaits a checkpoint.
+        self._trailer_changed = False
         self._lock = threading.RLock()
         existing = list_segments(self.path)
         if existing:
@@ -316,6 +319,19 @@ class WriteAheadLog:
             and self.bytes_since_checkpoint >= self.autocheckpoint_bytes
         )
 
+    def note_trailer_change(self) -> None:
+        """Record a change that logs no WAL record and that only the
+        next checkpoint's trailer captures."""
+        with self._lock:
+            self._trailer_changed = True
+
+    def changed_since_checkpoint(self) -> bool:
+        """Whether the archive file lags the database: a record past
+        the checkpoint exists, or a trailer-only change is pending.
+        When False, a checkpoint would rewrite the file unchanged."""
+        with self._lock:
+            return self.last_lsn > self.checkpoint_lsn or self._trailer_changed
+
     # -- checkpoint ---------------------------------------------------------
 
     def checkpoint(self, database) -> None:
@@ -351,6 +367,7 @@ class WriteAheadLog:
             self._truncate()
             faults.crash_point("checkpoint.after_truncate")
             self.checkpoint_lsn = self.last_lsn
+            self._trailer_changed = False
         self.checkpoints += 1
         self.bytes_since_checkpoint = 0
         _registry.counter("minisql.wal.checkpoints").inc()

@@ -1,9 +1,9 @@
 """Text rendering of the trial call graph (ParaProf's callgraph window).
 
 Requires callpath events (``a => b``) in the trial; the graph itself is
-built by :func:`repro.core.model.build_call_graph` on networkx.  The
-display annotates each call-tree node with its mean inclusive time and
-fraction of the root, indented by depth::
+built by :func:`repro.core.model.build_call_graph`.  The display
+annotates each call-tree node with its mean inclusive time and fraction
+of the root, indented by depth::
 
     main                      100.0%     1.203 s
     ├─ solve                   62.1%   746.90 ms
@@ -12,10 +12,6 @@ fraction of the root, indented by depth::
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-import networkx as nx
 
 from ..core.model import DataSource, build_call_graph
 from ..core.model.events import CALLPATH_SEPARATOR
@@ -98,24 +94,22 @@ def call_graph_dot(source: DataSource) -> str:
     """The call graph in Graphviz DOT form (for external rendering)."""
     graph = build_call_graph(source)
     lines = ["digraph callgraph {"]
-    for node in graph.nodes:
+    for node in graph.succ:
         lines.append(f'  "{node}";')
-    for a, b, data in graph.edges(data=True):
-        lines.append(f'  "{a}" -> "{b}" [label="{data.get("paths", 1)}"];')
+    for (a, b), paths in graph.edges.items():
+        lines.append(f'  "{a}" -> "{b}" [label="{paths}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
 def call_graph_stats(source: DataSource) -> dict[str, float]:
-    """Structural statistics of the call graph (networkx-powered)."""
+    """Structural statistics of the call graph; ``depth`` is -1 when
+    recursion makes it cyclic."""
     graph = build_call_graph(source)
-    if graph.number_of_nodes() == 0:
-        return {"nodes": 0, "edges": 0, "depth": 0, "is_dag": True}
-    is_dag = nx.is_directed_acyclic_graph(graph)
-    depth = nx.dag_longest_path_length(graph) if is_dag else -1
+    depth = graph.longest_path_length()
     return {
-        "nodes": graph.number_of_nodes(),
-        "edges": graph.number_of_edges(),
-        "depth": depth,
-        "is_dag": is_dag,
+        "nodes": len(graph.succ),
+        "edges": len(graph.edges),
+        "depth": -1 if depth is None else depth,
+        "is_dag": depth is not None,
     }

@@ -185,6 +185,7 @@ class TestGracefulShutdown:
         deadline = time.monotonic() + 5
         while sock._in_flight == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
+        assert sock._in_flight == 1
         t0 = time.perf_counter()
         sock.stop(drain=True, timeout=0.2)  # gives up, doesn't hang
         assert 0.15 <= time.perf_counter() - t0 < 5.0
