@@ -17,13 +17,9 @@ committing during both phases, so replicas are actively tailing WAL
 while they serve; at the end each replica must drain to lag 0 and its
 reported ``replication_lag_seconds`` must sit under the bound.
 
-Since the serving-core rebuild (ISSUE 10) the whole matrix runs twice —
-once per core: the thread-per-connection ``ThreadedSocketServer`` and
-the event-loop ``SocketServer``.  The threaded numbers stay at the
-JSON's top level (continuing the series ``bench_history.mdb`` has been
-tracking since PR 9, so the regression gate compares like-for-like) and
-the async core's numbers land under an ``"async"`` section as a fresh
-series.
+Every server runs the event-loop ``SocketServer``; its numbers land
+under the JSON's ``"async"`` key, continuing the series
+``bench_history.mdb`` has tracked for it.
 
 Results land in ``BENCH_e16_replica.json``; CI's smoke job
 (``REPRO_E16_RANKS=16``, short duration) only checks the no-pathology
@@ -68,18 +64,14 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Primary: serve a Miranda trial from a durable archive (WAL on, so it
 # can ship segments), snapshot isolation on so the concurrent writer
-# never stalls readers.  argv[3] picks the serving core.  Prints the
-# serving address and the trial id.
+# never stalls readers.  Prints the serving address and the trial id.
 _PRIMARY_CHILD = """
 import sys, time
-from repro.explorer.server import (
-    AnalysisServer, SocketServer, ThreadedSocketServer,
-)
+from repro.explorer.server import AnalysisServer, SocketServer
 from repro.tau.apps import Miranda
 
-core = {"async": SocketServer, "threaded": ThreadedSocketServer}[sys.argv[3]]
 server = AnalysisServer(f"minisql://{sys.argv[1]}")
-sock = core(server, port=0)
+sock = SocketServer(server, port=0)
 host, port = sock.start()
 session = server.session
 app = session.create_application("e16-app")
@@ -92,17 +84,13 @@ while True:
     time.sleep(60)
 """
 
-# Replica: tail the primary's WAL over the wire, then serve read-only
-# on the core named by argv[4].  Prints its address only after the
-# initial catch-up completes.
+# Replica: tail the primary's WAL over the wire, then serve read-only.
+# Prints its address only after the initial catch-up completes.
 _REPLICA_CHILD = """
 import sys, time
 from repro.db.minisql.replica import Replica, RemoteWalSource
-from repro.explorer.server import (
-    AnalysisServer, SocketServer, ThreadedSocketServer,
-)
+from repro.explorer.server import AnalysisServer, SocketServer
 
-core = {"async": SocketServer, "threaded": ThreadedSocketServer}[sys.argv[4]]
 rep = Replica(
     RemoteWalSource(sys.argv[1], int(sys.argv[2]), replica_id=sys.argv[3]),
     name=sys.argv[3], poll_interval=0.05,
@@ -110,7 +98,7 @@ rep = Replica(
 rep.start()
 rep.catch_up(timeout=120)
 server = AnalysisServer(rep.shared_url(), read_only=True, replica=rep)
-sock = core(server, port=0)
+sock = SocketServer(server, port=0)
 host, port = sock.start()
 print(f"ADDR {host} {port}", flush=True)
 while True:
@@ -209,12 +197,14 @@ def _drained_lag(host: str, port: int, timeout: float = 30.0) -> dict:
             time.sleep(0.2)
 
 
-def _measure_core(base, core: str) -> dict:
-    """One full single-vs-replicated matrix on one serving core."""
+@pytest.fixture(scope="module")
+def measured(tmp_path_factory):
+    """The single-vs-replicated matrix."""
+    base = tmp_path_factory.mktemp("e16")
     children: list[subprocess.Popen] = []
     try:
         primary, (phost, pport, trial_id) = _spawn(
-            _PRIMARY_CHILD, str(base / f"primary-{core}.mdb"), str(RANKS), core
+            _PRIMARY_CHILD, str(base / "primary.mdb"), str(RANKS)
         )
         children.append(primary)
         primary_ep = (phost, int(pport))
@@ -225,7 +215,7 @@ def _measure_core(base, core: str) -> dict:
         replica_eps = []
         for i in range(N_REPLICAS):
             proc, (rhost, rport) = _spawn(
-                _REPLICA_CHILD, phost, pport, f"e16-{core}-r{i}", core
+                _REPLICA_CHILD, phost, pport, f"e16-r{i}"
             )
             children.append(proc)
             replica_eps.append((rhost, int(rport)))
@@ -234,29 +224,17 @@ def _measure_core(base, core: str) -> dict:
         replicated = _drive(fleet, trial, DURATION)
 
         lags = [_drained_lag(h, p) for h, p in replica_eps]
-        return {
-            "single": single,
-            "replicated": replicated,
-            "qps_ratio": replicated["read_qps"] / single["read_qps"],
-            "lags": lags,
-        }
     finally:
         for proc in children:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
-
-
-@pytest.fixture(scope="module")
-def measured(tmp_path_factory):
-    base = tmp_path_factory.mktemp("e16")
-    results = {core: _measure_core(base, core) for core in ("threaded", "async")}
-    # Threaded at the top level: that is the series bench_history.mdb
-    # has tracked since PR 9 — the regression gate must keep comparing
-    # the same engine against its own history.
-    out = dict(results["threaded"])
-    out["async"] = results["async"]
-    yield out
+    yield {
+        "single": single,
+        "replicated": replicated,
+        "qps_ratio": replicated["read_qps"] / single["read_qps"],
+        "lags": lags,
+    }
 
 
 def _strict() -> bool:
@@ -267,65 +245,53 @@ def _strict() -> bool:
     )
 
 
-def _check_qps_ratio(result: dict, core: str, report) -> None:
-    single, replicated = result["single"], result["replicated"]
+def test_replicated_read_qps(measured, report):
+    """Acceptance: replicated read QPS >= 1.8x single-server on >=4
+    cores — three serving processes vs one."""
+    single, replicated = measured["single"], measured["replicated"]
     report(
-        f"E16 replicated reads [{core:8s}] (+{N_REPLICAS} replicas) -> "
-        f"{result['qps_ratio']:6.2f}x ({single['read_qps']:.0f} -> "
+        f"E16 replicated reads (+{N_REPLICAS} replicas) -> "
+        f"{measured['qps_ratio']:6.2f}x ({single['read_qps']:.0f} -> "
         f"{replicated['read_qps']:.0f} read QPS, p99 "
         f"{single['p99_ms']:.1f} -> {replicated['p99_ms']:.1f} ms, "
         f"{READERS} readers, cores={CORES})"
     )
     if _strict():
-        assert result["qps_ratio"] >= 1.8, (
-            f"[{core}] replicated fleet must serve >=1.8x the "
-            f"single-server read QPS on {CORES} cores, got "
-            f"{result['qps_ratio']:.2f}x"
+        assert measured["qps_ratio"] >= 1.8, (
+            f"replicated fleet must serve >=1.8x the single-server read "
+            f"QPS on {CORES} cores, got {measured['qps_ratio']:.2f}x"
         )
     else:
         # Smoke floor: spreading readers over three processes must never
         # cost throughput outright.
-        assert result["qps_ratio"] >= 0.7, (
-            f"[{core}] replicated serving fell below the no-pathology "
-            f"floor: {result['qps_ratio']:.2f}x"
+        assert measured["qps_ratio"] >= 0.7, (
+            f"replicated serving fell below the no-pathology floor: "
+            f"{measured['qps_ratio']:.2f}x"
         )
-
-
-def test_replicated_read_qps(measured, report):
-    """ISSUE acceptance: replicated read QPS >= 1.8x single-server on
-    >=4 cores — three serving processes vs one.  Both serving cores
-    must clear the same bar."""
-    _check_qps_ratio(measured, "threaded", report)
-    _check_qps_ratio(measured["async"], "async", report)
 
 
 def test_writes_kept_flowing(measured):
     """Mixed workload really was mixed: the writer committed in both
     phases (the replicas were tailing live WAL, not an idle archive)."""
-    for result in (measured, measured["async"]):
-        assert result["single"]["writes"] > 0
-        assert result["replicated"]["writes"] > 0
+    assert measured["single"]["writes"] > 0
+    assert measured["replicated"]["writes"] > 0
 
 
 def test_replica_lag_under_bound(measured, report):
     """After the workload the replicas drain and report a lag under the
     configured bound — serving never left them unboundedly behind."""
-    for core in ("threaded", "async"):
-        result = measured if core == "threaded" else measured["async"]
-        worst = max(lag["replication_lag_seconds"] for lag in result["lags"])
-        records = max(lag["replication_lag_records"] for lag in result["lags"])
-        report(
-            f"E16 replica lag [{core:8s}] after mixed load -> "
-            f"{worst:6.3f} s / {records} records "
-            f"(bound {LAG_BOUND_SECONDS:.1f} s)"
-        )
-        assert records == 0, (
-            f"[{core}] replicas never drained: {records} records behind"
-        )
-        assert worst <= LAG_BOUND_SECONDS
-        for lag in result["lags"]:
-            assert lag["role"] == "replica"
-            assert lag["state"] == "streaming"
+    worst = max(lag["replication_lag_seconds"] for lag in measured["lags"])
+    records = max(lag["replication_lag_records"] for lag in measured["lags"])
+    report(
+        f"E16 replica lag after mixed load -> "
+        f"{worst:6.3f} s / {records} records "
+        f"(bound {LAG_BOUND_SECONDS:.1f} s)"
+    )
+    assert records == 0, f"replicas never drained: {records} records behind"
+    assert worst <= LAG_BOUND_SECONDS
+    for lag in measured["lags"]:
+        assert lag["role"] == "replica"
+        assert lag["state"] == "streaming"
 
 
 def _phase_payload(result: dict) -> dict:
@@ -356,9 +322,8 @@ def test_write_bench_json(measured):
         "readers": READERS,
         "replicas": N_REPLICAS,
         "cores": CORES,
+        "async": _phase_payload(measured),
     }
-    payload.update(_phase_payload(measured))  # threaded: the PR 9 series
-    payload["async"] = _phase_payload(measured["async"])
     from repro.obs.bench import write_bench_json
 
     write_bench_json(E16_JSON, "e16_replica", payload)

@@ -163,25 +163,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-in-flight", type=int, default=None, metavar="N",
                    help="admission control: shed requests (RETRY_LATER) "
                         "past N concurrent dispatches")
-    p.add_argument("--core", default="async", choices=("async", "threaded"),
-                   help="serving core: 'async' (event-loop multiplexer, "
-                        "default) or 'threaded' (one thread per "
-                        "connection, the pre-rebuild engine)")
     p.add_argument("--max-connections", type=int, default=None, metavar="N",
-                   help="async core: refuse connections past N concurrent "
-                        "clients (counted in "
-                        "server.connections_refused_total)")
+                   help="refuse connections past N concurrent clients "
+                        "(counted in server.connections_refused_total)")
     p.add_argument("--executor-threads", type=int, default=8, metavar="N",
-                   help="async core: worker threads executing dispatched "
-                        "requests (default 8)")
+                   help="worker threads executing dispatched requests "
+                        "(default 8)")
     p.add_argument("--idle-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="async core: reap connections idle this long with "
-                        "no request in flight (default: never)")
+                   help="reap connections idle this long with no request "
+                        "in flight (default: never)")
     p.add_argument("--partial-frame-timeout", type=float, default=30.0,
                    metavar="SECONDS",
-                   help="async core: reap connections stalled mid-frame "
-                        "this long — the slowloris guard (default 30)")
+                   help="reap connections stalled mid-frame this long — "
+                        "the slowloris guard (default 30)")
     add_trace(p)
 
     p = sub.add_parser(
@@ -578,7 +573,7 @@ def _parse_host_port(text: str, flag: str) -> tuple[str, int]:
 
 
 def _cmd_serve(args) -> int:
-    from .explorer import AnalysisServer, SocketServer, ThreadedSocketServer
+    from .explorer import AnalysisServer, SocketServer
     from .obs import configure_logging
 
     # Surface the per-request structured log on stderr.
@@ -610,21 +605,15 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
             return 2
         analysis = AnalysisServer(args.db)
-    telemetry_port = None if args.no_telemetry else args.telemetry_port
-    if args.core == "threaded":
-        server = ThreadedSocketServer(
-            analysis, host=args.host, port=args.port,
-            telemetry_port=telemetry_port, max_in_flight=args.max_in_flight,
-        )
-    else:
-        server = SocketServer(
-            analysis, host=args.host, port=args.port,
-            telemetry_port=telemetry_port, max_in_flight=args.max_in_flight,
-            executor_threads=args.executor_threads,
-            max_connections=args.max_connections,
-            idle_timeout=args.idle_timeout,
-            partial_frame_timeout=args.partial_frame_timeout,
-        )
+    server = SocketServer(
+        analysis, host=args.host, port=args.port,
+        telemetry_port=None if args.no_telemetry else args.telemetry_port,
+        max_in_flight=args.max_in_flight,
+        executor_threads=args.executor_threads,
+        max_connections=args.max_connections,
+        idle_timeout=args.idle_timeout,
+        partial_frame_timeout=args.partial_frame_timeout,
+    )
     host, port = server.start()
     role = "read-only replica" if replica is not None else "analysis"
     print(f"PerfExplorer {role} server listening on {host}:{port}")

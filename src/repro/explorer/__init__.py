@@ -11,13 +11,13 @@ from .clustering import (
 from .protocol import MessageStream, ProtocolError
 from .results import ResultStore
 from .rproxy import AnalysisBackend, NumpyAnalysisBackend
-from .server import AnalysisServer, SocketServer, ThreadedSocketServer
+from .server import AnalysisServer, SocketServer
 from .workflow import (
     WorkflowError, available_operations, run_workflow,
 )
 
 __all__ = [
-    "AnalysisServer", "SocketServer", "ThreadedSocketServer",
+    "AnalysisServer", "SocketServer",
     "PerfExplorerClient", "AnalysisError",
     "ClusterResult", "cluster_trial", "kmeans", "pca_reduce",
     "silhouette_score", "summarize_clusters", "build_feature_matrix",

@@ -1,12 +1,11 @@
-"""Event-loop serving core for PerfExplorer (the async `SocketServer`).
+"""The PerfExplorer serving core (`SocketServer`).
 
 One reactor thread multiplexes every client connection through a
 :mod:`selectors`-based event loop — the same zero-dependency discipline
-as the rest of the codebase.  The thread-per-connection core (kept as
-:class:`~repro.explorer.server.ThreadedSocketServer` for like-for-like
-benchmarking) spends one OS thread, one 8 MiB stack, and a scheduler
-slot per client even when the client is idle; this core holds thousands
-of mostly-idle connections on one thread:
+as the rest of the codebase.  A thread per connection would spend one
+OS thread, one 8 MiB stack, and a scheduler slot per client even when
+the client is idle; this core holds thousands of mostly-idle
+connections on one thread:
 
 * **non-blocking accept** — the listener is part of the selector; an
   accept burst drains in one loop pass, with ``max_connections``
@@ -25,21 +24,21 @@ of mostly-idle connections on one thread:
   order even though the pool executes out of order;
 * **admission control at the dispatch queue** — with ``max_in_flight``
   set, a request arriving while that many are queued-or-executing is
-  shed with a retryable RETRY_LATER (``server.admission_shed_total``),
-  exactly the threaded core's contract measured at the new queue;
-* **drain-on-stop** — ``stop(drain=True)`` lets dispatched requests
-  finish and answers queued-but-not-dispatched ones with RETRY_LATER
-  (``server.drain_shed_total``), then flushes every buffered reply
-  before closing sockets;
+  shed with a retryable RETRY_LATER (``server.admission_shed_total``);
+* **drain-on-stop** — ``stop()`` answers queued-but-not-dispatched
+  requests with RETRY_LATER (``server.drain_shed_total``), so none of
+  them runs after it; ``drain=True`` (the default) also lets dispatched
+  requests finish and flushes every buffered reply before closing
+  sockets;
 * **slowloris reaping** — a connection stalled mid-frame past
   ``partial_frame_timeout`` (half a length prefix, then silence), or
   idle past ``idle_timeout`` with nothing in flight, is closed and
   counted in ``server.idle_reaped_total``.
 
-The wire shim hooks are preserved: receives pass
-``faults.net_point(..., "net.server.recv")`` and every queued reply
-applies the armed ``net.server.send`` fault (drop / trunc / delay /
-reset), so the chaos harness drives this core exactly like the old one.
+Chaos hooks: receives pass ``faults.net_point(..., "net.server.recv")``
+and every queued reply applies the armed ``net.server.send`` fault
+(drop / trunc / delay / reset), so the chaos harness can fail the
+server side of the wire at named points, as it does the client side.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ from .protocol import (
     ProtocolError, decode_message, encode_message, extract_trace_context,
 )
 
-#: Request logs carry the same logger name as the threaded core — the
-#: serving core is an implementation detail, not a log topology change.
+#: Request logs are named after the server module the callers import,
+#: not after this implementation module.
 _log = get_logger("repro.explorer.server")
 
 _RECV_CHUNK = 65536
@@ -98,11 +97,15 @@ class _Connection:
 class SocketServer:
     """TCP front end: one event-loop thread multiplexing every client.
 
-    Drop-in replacement for the thread-per-connection core — same
-    constructor surface, ``start()``/``stop()`` lifecycle, admission
-    control, drain semantics, request log, metrics, and telemetry
-    mounting — plus:
+    ``start()``/``stop()`` bracket its life; every request goes through
+    one dispatcher (:meth:`_execute`), which adopts the client's trace
+    context and writes the request log and metrics.
 
+    ``max_in_flight``
+        Admission control: shed a request (RETRY_LATER, counted in
+        ``server.admission_shed_total``) arriving while this many are
+        queued or executing, instead of queueing behind work the server
+        cannot keep up with.
     ``executor_threads``
         Size of the bounded worker pool requests are dispatched onto
         (default 8; the loop itself never executes a handler).
@@ -215,32 +218,32 @@ class SocketServer:
         return self.address
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
-        """Stop accepting; with ``drain`` (default) let every dispatched
-        request finish and answer queued-but-not-dispatched ones with
-        RETRY_LATER, flushing all buffered replies before sockets close."""
+        """Stop accepting and answer queued-but-not-dispatched requests
+        with RETRY_LATER, so none of them runs after this returns.  With
+        ``drain`` (default), also let every dispatched request finish
+        and flush all buffered replies before sockets close."""
         if self._stopped:
             return
         self._stopped = True
         deadline = time.monotonic() + timeout
-        self._draining = True
+        # Queued-not-dispatched requests were never executed, so the
+        # client may retry them — even mutating ones.  Pop them all in
+        # either mode; _ingest reads _draining under the same lock, so
+        # no request is queued after this.
+        with self._idle:
+            self._draining = True
+            abandoned = list(self._queue)
+            self._queue.clear()
+            self._in_flight -= len(abandoned)
+            if self._in_flight == 0:
+                self._idle.notify_all()
+        for conn, seq, request in abandoned:
+            _registry.counter("server.drain_shed_total").inc()
+            self._completed.append(
+                (conn, seq, _retry_later_bytes(request, "shutting down"))
+            )
         self._wake()
         if drain:
-            # Queued-not-dispatched requests were never executed, so the
-            # client may retry them — even mutating ones.  Pop them all
-            # before waiting on the executing remainder.
-            with self._idle:
-                abandoned = list(self._queue)
-                self._queue.clear()
-                self._in_flight -= len(abandoned)
-                if self._in_flight == 0:
-                    self._idle.notify_all()
-            for conn, seq, request in abandoned:
-                _registry.counter("server.drain_shed_total").inc()
-                self._completed.append(
-                    (conn, seq, _retry_later_bytes(request, "shutting down"))
-                )
-            if abandoned:
-                self._wake()
             with self._idle:
                 while self._in_flight > 0:
                     remaining = deadline - time.monotonic()
@@ -457,22 +460,20 @@ class SocketServer:
         seq = conn.next_seq
         conn.next_seq += 1
         conn.open_requests += 1
-        if self._draining:
-            _registry.counter("server.drain_shed_total").inc()
-            self._ready(conn, seq, _retry_later_bytes(request, "shutting down"))
-            return
         with self._idle:
-            if (
-                self.max_in_flight is not None
-                and self._in_flight >= self.max_in_flight
-            ):
-                admitted = False
-            else:
-                admitted = True
+            draining = self._draining
+            admitted = not draining and (
+                self.max_in_flight is None
+                or self._in_flight < self.max_in_flight
+            )
+            if admitted:
                 self._in_flight += 1
                 self._queue.append((conn, seq, request))
                 self._idle.notify()
-        if not admitted:
+        if draining:
+            _registry.counter("server.drain_shed_total").inc()
+            self._ready(conn, seq, _retry_later_bytes(request, "shutting down"))
+        elif not admitted:
             _registry.counter("server.admission_shed_total").inc()
             _log.warning(
                 "request_shed",
@@ -495,8 +496,9 @@ class SocketServer:
             conn.open_requests -= 1
             if data is None:
                 # A response the protocol could not encode: the worker
-                # already counted the bug; kill the connection like the
-                # threaded core's serve loop did.
+                # already counted the bug.  Close the connection, so the
+                # client sees a transport error instead of waiting for a
+                # reply that will never come.
                 self._close(conn)
                 return
             if not self._enqueue_send(conn, data):

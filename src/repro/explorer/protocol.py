@@ -115,9 +115,7 @@ class MessageStream:
         self._buffer = b""
 
     def send(self, payload: dict[str, Any]) -> None:
-        self.send_bytes(encode_message(payload))
-
-    def send_bytes(self, data: bytes) -> None:
+        data = encode_message(payload)
         if self.fault_point is None:
             self.sock.sendall(data)
         else:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .clustering import (
     ClusterResult, cluster_trial, kmeans, pca_reduce, silhouette_score,
@@ -55,6 +54,10 @@ class NumpyAnalysisBackend(AnalysisBackend):
         return pca_reduce(matrix, components)
 
     def describe(self, values: np.ndarray) -> dict[str, float]:
+        # scipy.stats loads scipy.optimize, ~0.5 s and ~700 modules that
+        # a server start need not pay; only these two methods use it.
+        from scipy import stats as scipy_stats
+
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return {"n": 0.0}
@@ -70,6 +73,8 @@ class NumpyAnalysisBackend(AnalysisBackend):
         }
 
     def correlate(self, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
+        from scipy import stats as scipy_stats
+
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if len(x) != len(y) or len(x) < 2:

@@ -15,18 +15,10 @@ API, never raw SQL — that separation is the Figure 3 architecture.
 from __future__ import annotations
 
 import base64
-import socket
-import threading
 import time
-import traceback
-from contextlib import nullcontext
 from typing import Any, Optional
 
-import numpy as np
-
-from repro.obs.log import get_logger
 from repro.obs.metrics import registry as _registry
-from repro.obs.trace import tracer as _tracer
 
 from ..core.api.entities import Trial
 from ..core.model import ColumnarTrial
@@ -36,13 +28,11 @@ from .charts import (
     correlation_matrix, group_fraction_chart, imbalance_chart, speedup_chart,
 )
 from .clustering import cluster_trial, summarize_clusters
-from .protocol import (
-    READ_ONLY_METHODS, MessageStream, encode_message, extract_trace_context,
-)
+# The serving core lives in eventloop.py; callers import it from here.
+from .eventloop import SocketServer
+from .protocol import READ_ONLY_METHODS
 from .results import ResultStore
 from .rproxy import AnalysisBackend, NumpyAnalysisBackend
-
-_log = get_logger("repro.explorer.server")
 
 #: Methods a read-only replica server will dispatch: every read-only
 #: analysis method plus the replication introspection endpoint.
@@ -370,305 +360,4 @@ class AnalysisServer:
         return {"role": "standalone"}
 
 
-class ThreadedSocketServer:
-    """TCP front end: accepts clients, one thread per connection.
-
-    Superseded as the default by the event-loop core
-    (:class:`~repro.explorer.eventloop.SocketServer`, re-exported from
-    this module as ``SocketServer``), but kept fully working: the E16/
-    E17 benchmarks run both cores side by side so the regression gate
-    compares like-for-like, and ``perfdmf serve --core threaded``
-    selects it explicitly.
-
-    With ``telemetry_port`` set (0 = any free port), ``start()`` also
-    mounts a :class:`~repro.obs.telemetry.TelemetryServer` so the
-    process serves ``/metrics``, ``/healthz`` and ``/stats.json`` over
-    HTTP while the RPC listener handles analysis traffic; its bound
-    address lands in ``telemetry_address``.
-    """
-
-    def __init__(
-        self,
-        server: AnalysisServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        telemetry_port: Optional[int] = None,
-        max_in_flight: Optional[int] = None,
-    ):
-        self.analysis = server
-        #: Admission control: with a bound set, a request arriving while
-        #: ``max_in_flight`` are already dispatched is *shed* — answered
-        #: immediately with a retryable RETRY_LATER error instead of
-        #: queueing behind work the server cannot keep up with.
-        self.max_in_flight = max_in_flight
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(8)
-        self.address = self._listener.getsockname()
-        self._threads: list[threading.Thread] = []
-        self._clients: set[socket.socket] = set()
-        self._clients_lock = threading.Lock()
-        self._running = False
-        self._accept_thread: Optional[threading.Thread] = None
-        self._telemetry_port = telemetry_port
-        self._telemetry = None
-        self.telemetry_address: Optional[tuple[str, int]] = None
-        # In-flight request accounting for graceful shutdown: stop() with
-        # drain=True waits on the condition until the count reaches zero.
-        self._in_flight = 0
-        self._idle = threading.Condition()
-
-    def _health(self) -> dict:
-        with self._idle:
-            in_flight = self._in_flight
-        health = {
-            "serving": self._running,
-            "address": f"{self.address[0]}:{self.address[1]}",
-            "in_flight_requests": in_flight,
-        }
-        if self.max_in_flight is not None:
-            health["max_in_flight"] = self.max_in_flight
-        replica = getattr(self.analysis, "replica", None)
-        if replica is not None:
-            records, seconds = replica.replication_lag()
-            health["replication"] = {
-                "role": "replica",
-                "state": replica.state,
-                "lag_records": records,
-                "lag_seconds": seconds,
-            }
-        return health
-
-    def start(self) -> tuple[str, int]:
-        self._running = True
-        if self._telemetry_port is not None:
-            from repro.obs.telemetry import TelemetryServer
-
-            self._telemetry = TelemetryServer(
-                host=self.address[0], port=self._telemetry_port,
-                health=self._health,
-            )
-            self.telemetry_address = self._telemetry.start()
-            _log.info(
-                "telemetry_listening",
-                host=self.telemetry_address[0],
-                port=self.telemetry_address[1],
-            )
-        self.analysis.load_probe = self._load_snapshot
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-        return self.address
-
-    def _load_snapshot(self) -> dict:
-        """The ``server_load`` RPC payload: how busy this front end is.
-
-        The threaded core has no dispatch queue — a request is either
-        executing on its connection thread or not admitted at all."""
-        with self._idle:
-            in_flight = self._in_flight
-        with self._clients_lock:
-            connections = len(self._clients)
-        return {
-            "in_flight": in_flight,
-            "queued": 0,
-            "connections": connections,
-        }
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                client, _addr = self._listener.accept()
-            except OSError:
-                return
-            if not self._running:
-                # Raced with stop(): the listener woke us with one last
-                # connection; refuse it rather than serve past shutdown.
-                try:
-                    client.close()
-                except OSError:
-                    pass
-                return
-            with self._clients_lock:
-                self._clients.add(client)
-            thread = threading.Thread(
-                target=self._serve_client, args=(client,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _serve_client(self, sock: socket.socket) -> None:
-        from .protocol import ProtocolError
-
-        stream = MessageStream(sock, fault_point="net.server")
-        try:
-            while True:
-                request = stream.receive()
-                if request is None:
-                    return
-                if not self._admit():
-                    self._shed(stream, request)
-                    continue
-                try:
-                    self._handle_one(stream, request)
-                finally:
-                    self._release()
-        except (ProtocolError, OSError) as exc:
-            # Expected transport-level endings: client went away mid-frame,
-            # reset the connection, or we are shutting down.
-            _registry.counter("server.client_disconnects").inc()
-            _log.info("client_disconnect", error=str(exc))
-        except Exception:
-            # Anything else is a server bug — it must never vanish
-            # silently (that hid dispatcher errors for two releases).
-            _registry.counter("server.client_errors").inc()
-            _log.error("client_loop_error", traceback=traceback.format_exc())
-        finally:
-            stream.close()
-            with self._clients_lock:
-                self._clients.discard(sock)
-
-    def _admit(self) -> bool:
-        """Claim an in-flight slot; False when admission control sheds."""
-        with self._idle:
-            if (
-                self.max_in_flight is not None
-                and self._in_flight >= self.max_in_flight
-            ):
-                return False
-            self._in_flight += 1
-            return True
-
-    def _release(self) -> None:
-        with self._idle:
-            self._in_flight -= 1
-            if self._in_flight == 0:
-                self._idle.notify_all()
-
-    def _shed(self, stream: MessageStream, request: dict) -> None:
-        """Refuse an over-limit request with a retryable error.
-
-        The request was never dispatched, so the client may retry it —
-        even a mutating one — after backing off (``retry_later`` flags
-        that distinction on the wire)."""
-        _registry.counter("server.admission_shed_total").inc()
-        _log.warning(
-            "request_shed",
-            method=request.get("method"),
-            max_in_flight=self.max_in_flight,
-        )
-        stream.send(
-            {
-                "id": request.get("id"),
-                "error": "RETRY_LATER: server at max in-flight requests",
-                "retry_later": True,
-            }
-        )
-
-    def _handle_one(self, stream: MessageStream, request: dict) -> None:
-        """Dispatch one request: trace-context adoption, structured
-        request log with latency and result size, metrics."""
-        request_id = request.get("id")
-        method = request.get("method", "")
-        # A client-propagated trace context nests our server span under
-        # the client's request span (one cross-process timeline).
-        remote = extract_trace_context(request) if _tracer.enabled else None
-        context = (
-            _tracer.context(remote[0], remote[1])
-            if remote is not None else nullcontext()
-        )
-        started = time.perf_counter()
-        with context:
-            with _tracer.span(f"server.{method or 'unknown'}"):
-                try:
-                    result = self.analysis.handle_request(
-                        method, request.get("params", {}) or {}
-                    )
-                    response = {"id": request_id, "result": result}
-                    status = "ok"
-                except Exception as exc:  # deliberate: errors go to the client
-                    response = {
-                        "id": request_id,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(limit=3),
-                    }
-                    status = "error"
-        encoded = encode_message(response)
-        latency_ms = round((time.perf_counter() - started) * 1000.0, 3)
-        _registry.counter("server.requests").inc()
-        if status == "error":
-            _registry.counter("server.errors").inc()
-        _registry.histogram("server.request_seconds").observe(
-            latency_ms / 1000.0
-        )
-        _log.info(
-            "request",
-            method=method,
-            id=request_id,
-            status=status,
-            latency_ms=latency_ms,
-            result_bytes=len(encoded),
-        )
-        stream.send_bytes(encoded)
-
-    def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
-        """Stop accepting connections; with ``drain`` (the default), wait
-        up to ``timeout`` seconds for in-flight requests to complete so
-        clients get their responses instead of a reset socket."""
-        self._running = False
-        # shutdown() before close(): close() alone does not wake a thread
-        # blocked in accept() — the in-flight syscall keeps the open file
-        # description (and the LISTEN port) alive, and the next client to
-        # connect would be served by the half-dead accept loop.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._telemetry is not None:
-            self._telemetry.stop()
-            self._telemetry = None
-        if drain:
-            deadline = time.monotonic() + timeout
-            with self._idle:
-                while self._in_flight > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        _log.warning(
-                            "shutdown_timeout", in_flight=self._in_flight
-                        )
-                        break
-                    self._idle.wait(remaining)
-        # Close lingering client connections: their ESTABLISHED sockets
-        # would otherwise hold the port and block a restart on the same
-        # address (and the handler threads would block in receive()
-        # forever).
-        with self._clients_lock:
-            lingering = list(self._clients)
-            self._clients.clear()
-        for client in lingering:
-            try:
-                client.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                client.close()
-            except OSError:
-                pass
-
-
-# The event-loop core is the default SocketServer; existing callers
-# (tests, CLI, benchmarks, replica harnesses) pick it up by name with
-# the same constructor surface and lifecycle.  Imported at the bottom
-# because eventloop shares this module's protocol/obs imports but needs
-# no symbol defined above — and keeping ``SocketServer`` importable from
-# ``repro.explorer.server`` preserves every call site.
-from .eventloop import SocketServer  # noqa: E402  (re-export)
-
-__all__ = [
-    "AnalysisServer", "SocketServer", "ThreadedSocketServer",
-    "REPLICA_SAFE_METHODS",
-]
+__all__ = ["AnalysisServer", "SocketServer", "REPLICA_SAFE_METHODS"]

@@ -15,9 +15,7 @@ import pytest
 
 from repro.explorer.client import PerfExplorerClient, RetryLater
 from repro.explorer.protocol import MessageStream, ProtocolError
-from repro.explorer.server import (
-    AnalysisServer, SocketServer, ThreadedSocketServer,
-)
+from repro.explorer.server import AnalysisServer, SocketServer
 from repro.obs.metrics import registry
 from repro.testing import faults
 
@@ -180,6 +178,47 @@ class TestDrainAccounting:
             release.set()
             sock.stop(drain=False)
 
+    def test_stop_without_drain_never_runs_queued_requests(self):
+        """stop(drain=False) returns while a request still executes; the
+        two requests queued behind it were never dispatched, so they
+        must never run, not even once the executing one finishes."""
+        analysis = AnalysisServer("minisql://:memory:")
+        release = threading.Event()
+        ran: list[int] = []
+        analysis._handlers["block"] = lambda: release.wait(10) and "done"
+        analysis._handlers["record"] = lambda n: ran.append(n) or n
+        sock, _, host, port = _start(analysis, executor_threads=1)
+        try:
+            stream = _raw_stream(host, port)
+            stream.send({"id": 1, "method": "block", "params": {}})
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                with sock._idle:
+                    if sock._in_flight == 1 and not sock._queue:
+                        break
+                time.sleep(0.01)
+            for rid in (2, 3):
+                stream.send(
+                    {"id": rid, "method": "record", "params": {"n": rid}}
+                )
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                with sock._idle:
+                    if len(sock._queue) == 2:
+                        break
+                time.sleep(0.01)
+            assert len(sock._queue) == 2
+            sock.stop(drain=False)
+            release.set()
+            for worker in sock._workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            assert ran == []
+            stream.close()
+        finally:
+            release.set()
+            sock.stop(drain=False)
+
     def test_stop_is_idempotent(self):
         sock, _analysis, _host, _port = _start()
         sock.stop()
@@ -297,18 +336,15 @@ class TestHealthAndLoad:
         finally:
             sock.stop(drain=False)
 
-    def test_server_load_rpc_on_both_cores(self):
-        for core in (SocketServer, ThreadedSocketServer):
-            analysis = AnalysisServer("minisql://:memory:")
-            sock = core(analysis, port=0)
-            host, port = sock.start()
-            try:
-                with PerfExplorerClient(host, port, timeout=10) as client:
-                    load = client.call("server_load")
-                assert load["connections"] >= 1
-                assert load["in_flight"] >= 0 and load["queued"] >= 0
-            finally:
-                sock.stop(drain=False)
+    def test_server_load_rpc(self):
+        sock, _analysis, host, port = _start()
+        try:
+            with PerfExplorerClient(host, port, timeout=10) as client:
+                load = client.call("server_load")
+            assert load["connections"] >= 1
+            assert load["in_flight"] >= 0 and load["queued"] >= 0
+        finally:
+            sock.stop(drain=False)
 
 
 class TestChaosShim:

@@ -105,9 +105,9 @@ class TestServerErrorVisibility:
         assert errors.value == e0  # a bad client is not a server bug
 
     def test_server_bug_hits_error_counter_with_traceback(self, server_fixture):
-        """A handler whose *response* cannot be encoded escapes
-        _handle_one — the serve loop must count and log it, never
-        swallow it (the old bare ``except Exception: pass``)."""
+        """A handler whose *response* cannot be encoded fails in the
+        dispatcher's encode step — the server must count and log it,
+        never swallow it (the old bare ``except Exception: pass``)."""
         sock, analysis, host, port = server_fixture
         analysis._handlers["unencodable"] = lambda: {1, 2, 3}  # sets aren't JSON
         errors = registry.counter("server.client_errors")

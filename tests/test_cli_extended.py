@@ -79,6 +79,35 @@ class TestServe:
         out = capsys.readouterr().out
         assert "listening on 127.0.0.1:" in out
 
+    def test_serve_hands_every_flag_to_the_server(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.explorer
+
+        built = []
+
+        class RecordingServer(repro.explorer.SocketServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.explorer, "SocketServer", RecordingServer)
+        db = f"sqlite://{tmp_path}/s.db"
+        assert main([
+            "serve", "--db", db, "--once", "--no-telemetry",
+            "--max-in-flight", "3", "--executor-threads", "2",
+            "--max-connections", "5", "--idle-timeout", "7.5",
+            "--partial-frame-timeout", "4.5",
+        ]) == 0
+        assert "listening on 127.0.0.1:" in capsys.readouterr().out
+        (server,) = built
+        assert server.max_in_flight == 3
+        assert server.executor_threads == 2
+        assert server.max_connections == 5
+        assert server.idle_timeout == 7.5
+        assert server.partial_frame_timeout == 4.5
+        assert server.telemetry_address is None
+
 
 class TestReport:
     def test_html_report_written(self, src_db, tmp_path, capsys):
