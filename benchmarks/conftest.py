@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# The repository root, for the equivalence suites' helpers in tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.obs.bench import write_bench_json  # noqa: E402
 

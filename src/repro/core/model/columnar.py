@@ -174,32 +174,6 @@ class ColumnarTrial:
                     float(row_pc[e]), float(row_calls[e]), float(row_subrs[e]),
                 )
 
-    def location_rows(self, metric: int) -> list[tuple]:
-        """Materialise :meth:`iter_location_rows` for one metric in bulk.
-
-        Same row layout, but each column is flattened with numpy and the
-        tuples assembled by one ``zip`` — the per-cell ``float()`` calls
-        of the generator dominate ingest time at 4K+ ranks, and this
-        path avoids them entirely.  Used by the bulk-load ingest.
-        """
-        inc = self.inclusive[metric]
-        n_threads, n_events = inc.shape
-        triples = self.thread_triples
-        repeat = np.repeat
-        return list(zip(
-            np.tile(np.arange(n_events), n_threads).tolist(),
-            repeat(triples[:, 0], n_events).tolist(),
-            repeat(triples[:, 1], n_events).tolist(),
-            repeat(triples[:, 2], n_events).tolist(),
-            inc.ravel().tolist(),
-            self.inclusive_percent(metric).ravel().tolist(),
-            self.exclusive[metric].ravel().tolist(),
-            self.exclusive_percent(metric).ravel().tolist(),
-            self.inclusive_per_call(metric).ravel().tolist(),
-            self.calls.ravel().tolist(),
-            self.subroutines.ravel().tolist(),
-        ))
-
     # -- conversions ---------------------------------------------------------------------
 
     @classmethod

@@ -29,10 +29,11 @@ division-by-zero → NULL, and the int-division rule all mirror
 ``expr.py``.  Anything the compiler cannot prove it handles identically
 — unresolvable or ambiguous column refs (the interpreter only raises
 when a row actually exists), unknown scalar functions, aggregate misuse,
-subqueries, ``*`` — raises :class:`CannotCompile` and the executor falls
-back to the interpreter for that pipeline section.  The differential SQL
-corpus runs under both ``PRAGMA compile on`` and ``off`` to prove the
-two paths agree.
+subqueries, ``*`` — raises :class:`CannotCompile`, and the executor
+gives that one section a closure with the same signature that runs
+``expr.evaluate`` on the row it is given.  The equivalence suites run
+the differential SQL corpus with every section compiled and with every
+section interpreted to prove the two agree.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ CompiledExpr = Callable[[Sequence[Any], Sequence[Any], Optional[Sequence[Any]]],
 class CannotCompile(Exception):
     """Raised when an expression must stay on the interpreter.
 
-    Not an error: the executor catches it and routes the pipeline
-    section through ``expr.evaluate`` so behaviour (including *when*
+    Not an error: the executor catches it and gives the section a
+    closure that runs ``expr.evaluate``, so behaviour (including *when*
     errors are raised — e.g. a bad column name over an empty table) is
     unchanged.
     """
@@ -72,11 +73,12 @@ class CannotCompile(Exception):
 
 @dataclass
 class JoinPlan:
-    """Compiled closures for one hash/nested-loop join stage."""
+    """Closures for one join stage; a hash join when it has keys, else
+    a nested loop."""
 
     probe: Optional[CompiledExpr]  # outer-side key, over the padded row
     build: Optional[CompiledExpr]  # inner-side key, over the inner table row
-    condition: Optional[CompiledExpr]  # full ON condition, over the padded row
+    condition: CompiledExpr  # full ON condition, over the padded row
 
 
 @dataclass
@@ -99,25 +101,26 @@ class GroupPlan:
 
 @dataclass
 class SelectPlan:
-    """Everything compiled for one SELECT, cached on the Statement.
+    """The closures of every section of one SELECT, cached on the
+    Statement.
 
-    Sections are independently optional: ``None`` means "interpret that
-    stage".  ``fallbacks`` counts the sections that needed the
-    interpreter, charged to ``Database.stats['compile_fallbacks']`` once
-    per execution.
+    Each closure is compiled or, where the compiler refused the
+    section's expression, interpreted; ``fallbacks`` counts the
+    interpreted ones, charged to ``Database.stats['compile_fallbacks']``
+    once per execution.  ``None`` means the statement has no such
+    section.
     """
 
     schema_version: int
     layout: Any  # executor._Layout, reused across executions
-    columns: Optional[list[str]]  # result column names (None: expansion failed)
-    exprs: Optional[list[Any]]  # _expand_items output (int | Expression)
+    columns: list[str]  # result column names
+    exprs: list[Any]  # _expand_items output (int | Expression)
     where_fn: Optional[CompiledExpr]
-    joins: list[Optional[JoinPlan]] = field(default_factory=list)
+    joins: list[Optional[JoinPlan]] = field(default_factory=list)  # None: CROSS
     grouped: Optional[GroupPlan] = None
     is_grouped: bool = False
     proj: Optional[list[Any]] = None  # per column: int | closure
     order_specs: Optional[list[tuple[Any, bool]]] = None
-    order_compiled: bool = False
     fallbacks: int = 0
     #: Column-projection pushdown for single-table full scans: row
     #: positions the statement touches, plus the same sections recompiled
@@ -142,11 +145,11 @@ class CompactPlan:
 
 @dataclass
 class DMLPlan:
-    """Compiled WHERE / SET closures for UPDATE and DELETE."""
+    """WHERE / SET closures for UPDATE and DELETE."""
 
     schema_version: int
     where_fn: Optional[CompiledExpr]
-    assign_fns: Optional[list[tuple[int, CompiledExpr]]]
+    assign_fns: list[tuple[int, CompiledExpr]]  # (column position, closure)
     fallbacks: int = 0
 
 
@@ -570,24 +573,6 @@ def _compile_case(
     return case_fn
 
 
-def try_compile(
-    expr: Expression,
-    resolution: Mapping[str, int],
-    agg_slots: Optional[dict[int, int]] = None,
-    used: Optional[set] = None,
-) -> Optional[CompiledExpr]:
-    """``compile_expr`` returning None instead of raising.
-
-    Catches *any* exception: a compile-time failure must never surface
-    differently than the interpreter would — the section simply stays
-    interpreted and the interpreter raises (or not) with its own timing.
-    """
-    try:
-        return compile_expr(expr, resolution, agg_slots, used)
-    except Exception:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # vectorized lowering (columnar tables)
 # ---------------------------------------------------------------------------
@@ -599,8 +584,8 @@ def try_compile(
 # executor is *atomic-or-fallback*: a vector plan either completes and
 # returns results provably identical to the row engine's, or the
 # executor abandons it (any exception, impure column, runtime type
-# surprise) and re-executes through the compiled-row/interpreter path —
-# which then reproduces errors with canonical per-row timing.  Vector
+# surprise) and re-executes through the row pipeline — which then
+# reproduces errors with canonical per-row timing.  Vector
 # evaluation is side-effect free, so abandoning a half-finished batch is
 # always safe.  This mirrors the CannotCompile discipline one level up.
 #

@@ -1,10 +1,12 @@
 """Statement execution for MiniSQL.
 
-The executor interprets parsed statements against a
+The executor runs parsed statements against a
 :class:`~repro.db.minisql.storage.Database`.  SELECT execution is a
 straightforward pipeline — scan → join → filter → group → having →
-project → distinct → compound → order → limit — with two optimisations
-that matter at PerfDMF scale:
+project → distinct → compound → order → limit — whose sections are
+closures, compiled where :mod:`~repro.db.minisql.compile` lowers the
+section's expression and interpreted where it does not
+(:meth:`Executor._section`).  Two optimisations matter at PerfDMF scale:
 
 * **index pushdown**: top-level equality predicates in WHERE whose column
   has a hash index turn the base-table scan into an index probe; range
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.obs.metrics import registry as _metrics
@@ -30,13 +33,13 @@ from .ast_nodes import (
     AlterTableAddColumn, AlterTableRename, BeginTransaction, Between,
     BinaryOp, ColumnDef, ColumnRef, CommitTransaction, CreateIndex,
     CreateTable, Delete, DropIndex, DropTable, Expression, FunctionCall,
-    InList, Insert, Join, Literal, OrderItem, Placeholder, Pragma,
+    InList, Insert, Literal, OrderItem, Placeholder, Pragma,
     RollbackTransaction, Select, SelectItem, Star, Statement, Subquery,
     TableRef, Update,
 )
 from .compile import (
     _VS, CompactPlan, DMLPlan, GroupPlan, JoinPlan, SelectPlan, VectorPlan,
-    compile_expr, try_compile, try_vcompile,
+    compile_expr, try_vcompile,
 )
 from .dump import _create_table_sql, _render_value
 from .errors import (
@@ -46,7 +49,7 @@ from .expr import (
     RowContext, column_refs, contains_aggregate, evaluate, is_aggregate_call,
     ref_name, truthy, walk,
 )
-from .functions import is_aggregate, make_aggregate
+from .functions import make_aggregate
 from .storage import Column, Database, Index, OMITTED, SortedIndex, Table
 from .types import sort_key
 
@@ -188,8 +191,9 @@ class Executor:
         The "WHERE filter" step only appears under ``analyze`` — plain
         EXPLAIN keeps its historical sqlite-like shape (access path,
         joins, group/order) that tests and tooling match exactly.
-        ``compiled`` is "yes"/"no" for steps the closure compiler can
-        cover, None where the notion does not apply (CROSS JOIN,
+        ``compiled`` is "no" for a step with an interpreted section
+        (the access-path step: for a statement that runs any), "yes"
+        otherwise, None where the notion does not apply (CROSS JOIN,
         compound glue, DML, constant rows); ``vectorized`` is the same
         for the whole-column plan — it reports plan *capability*, since
         the vector path can still yield to the row engine at run time
@@ -205,7 +209,7 @@ class Executor:
                 params, _select_alias_names(inner),
             )
             try:
-                splan = self._compiled_select(inner)
+                splan = self._select_plan(inner)
             except Exception:
                 splan = None
             # An ordered index walk streams through the row path (so an
@@ -215,14 +219,30 @@ class Executor:
                 if splan is not None and not plan.ordered else None
             )
 
-            def flag(section_compiled: bool) -> str:
-                return "yes" if splan is not None and section_compiled else "no"
+            def flag(*sections: Any) -> str:
+                return "no" if splan is None or _count_interpreted(*sections) else "yes"
 
             def vflag(section_vectorized: bool) -> str:
                 return "yes" if vector is not None and section_vectorized else "no"
 
+            # The access step sums up the statement as it runs, which is
+            # with each IN (SELECT ...) list turned into literals (see
+            # _execute_select_core); the other steps describe their
+            # sections as written.
+            where = _replace_subqueries(
+                inner.where, lambda _subquery: [Literal(None)]
+            )
+            runs = splan
+            if where is not inner.where:
+                try:
+                    runs = self._build_select_plan(
+                        _copy_select_with_where(inner, where)
+                    )
+                except Exception:
+                    runs = None
             steps.append((
-                plan.describe(table), "scan", flag(splan is not None),
+                plan.describe(table), "scan",
+                "yes" if runs is not None and not runs.fallbacks else "no",
                 vflag(vector is not None),
             ))
             layout = _Layout.build(self.database, inner)
@@ -243,14 +263,14 @@ class Executor:
                     steps.append((
                         f"{strategy} {inner_table.name} ({join.kind})",
                         f"join{i}",
-                        flag(splan is not None and splan.joins[i] is not None),
+                        flag(splan and splan.joins[i]),
                         vflag(False),
                     ))
                 offset += len(inner_table.columns)
             if analyze and inner.where is not None:
                 steps.append((
                     "WHERE filter", "where",
-                    flag(splan is not None and splan.where_fn is not None),
+                    flag(splan and splan.where_fn),
                     vflag(vector is not None and vector.where_fn is not None),
                 ))
             if inner.group_by or any(
@@ -258,21 +278,18 @@ class Executor:
             ):
                 steps.append((
                     "GROUP BY (hash aggregation)", None,
-                    flag(splan is not None and splan.grouped is not None),
+                    flag(splan and splan.grouped),
                     vflag(vector is not None and vector.kind == "agg"),
                 ))
             if inner.order_by:
-                order_flag = flag(
-                    splan is not None and (
-                        splan.grouped is not None
-                        if splan.is_grouped else splan.order_compiled
-                    )
-                )
                 steps.append((
                     "ORDER BY (index order)" if plan.ordered
                     else "ORDER BY (sort)",
                     None,
-                    order_flag,
+                    flag(splan and (
+                        splan.grouped if splan.is_grouped
+                        else [splan.proj, splan.order_specs]
+                    )),
                     vflag(vector is not None),
                 ))
             if inner.compound is not None:
@@ -571,30 +588,6 @@ class Executor:
             problems = self._integrity_check()
             rows = [(p,) for p in problems] if problems else [("ok",)]
             return ResultSet(["integrity_check"], rows)
-        if stmt.name == "compile":
-            argument = str(stmt.argument or "").strip().lower()
-            if argument in ("on", "1", "true"):
-                self.database.compile_enabled = True
-            elif argument in ("off", "0", "false"):
-                self.database.compile_enabled = False
-            elif argument == "status":
-                stats = self.database.stats
-                return ResultSet(
-                    ["key", "value"],
-                    [
-                        ("enabled", int(self.database.compile_enabled)),
-                        ("plan_cache_hits", stats["plan_cache_hits"]),
-                        ("plan_cache_misses", stats["plan_cache_misses"]),
-                        ("compile_fallbacks", stats["compile_fallbacks"]),
-                    ],
-                )
-            else:
-                raise ProgrammingError(
-                    f"PRAGMA compile expects on/off/status, got {stmt.argument!r}"
-                )
-            # on/off return no rows, matching sqlite's silent treatment of
-            # unknown pragmas, so differential corpora stay comparable.
-            return ResultSet([], [], rowcount=0)
         if stmt.name == "snapshot_isolation":
             return self._pragma_snapshot_isolation(stmt)
         if stmt.name == "columnar":
@@ -843,77 +836,46 @@ class Executor:
 
     def _execute_update(self, stmt: Update, params: Sequence[Any]) -> ResultSet:
         table = self.database.table(stmt.table)
-        where = self._materialize_subqueries(stmt.where, params)
-        plan = self._compiled_dml(stmt, table, is_update=True)
-        if plan is not None and plan.fallbacks:
-            self.database.stats["compile_fallbacks"] += plan.fallbacks
-            _COMPILE_FALLBACKS.inc(plan.fallbacks)
-        # Compiled WHERE only applies when subquery materialisation left
-        # the original expression untouched (the closures were built
-        # against it).
-        where_fn = (
-            plan.where_fn
-            if plan is not None and where is stmt.where else None
-        )
-        assign_fns = plan.assign_fns if plan is not None else None
-        context = (
-            _single_table_context(table)
-            if (where is not None and where_fn is None) or assign_fns is None
-            else None
-        )
-        if assign_fns is None:
-            assignments = [
-                (table.position_of(name), expr) for name, expr in stmt.assignments
-            ]
+        where_fn, plan = self._dml_where(stmt, table, params)
         touched = []
         for rowid, row in list(table.scan()):
-            if context is not None:
-                context.bind(row)
-            if where is not None:
-                if where_fn is not None:
-                    if not truthy(where_fn(row, params, None)):
-                        continue
-                elif not truthy(evaluate(where, context, params)):
-                    continue
-            if assign_fns is not None:
-                new_values = {
-                    position: fn(row, params, None) for position, fn in assign_fns
-                }
-            else:
-                new_values = {
-                    position: evaluate(expr, context, params)
-                    for position, expr in assignments
-                }
-            touched.append((rowid, new_values))
+            if where_fn is not None and not truthy(where_fn(row, params, None)):
+                continue
+            touched.append((rowid, {
+                position: fn(row, params, None) for position, fn in plan.assign_fns
+            }))
         for rowid, new_values in touched:
             self.database.update(table, rowid, new_values)
         return ResultSet([], [], rowcount=len(touched))
 
     def _execute_delete(self, stmt: Delete, params: Sequence[Any]) -> ResultSet:
         table = self.database.table(stmt.table)
-        where = self._materialize_subqueries(stmt.where, params)
-        plan = self._compiled_dml(stmt, table, is_update=False)
-        if plan is not None and plan.fallbacks:
-            self.database.stats["compile_fallbacks"] += plan.fallbacks
-            _COMPILE_FALLBACKS.inc(plan.fallbacks)
-        where_fn = (
-            plan.where_fn
-            if plan is not None and where is stmt.where else None
-        )
-        doomed = []
-        if where is not None and where_fn is not None:
-            for rowid, row in table.scan():
-                if truthy(where_fn(row, params, None)):
-                    doomed.append(rowid)
-        else:
-            context = _single_table_context(table)
-            for rowid, row in table.scan():
-                context.bind(row)
-                if where is None or truthy(evaluate(where, context, params)):
-                    doomed.append(rowid)
+        where_fn, _plan = self._dml_where(stmt, table, params)
+        doomed = [
+            rowid for rowid, row in table.scan()
+            if where_fn is None or truthy(where_fn(row, params, None))
+        ]
         for rowid in doomed:
             self.database.delete(table, rowid)
         return ResultSet([], [], rowcount=len(doomed))
+
+    def _dml_where(
+        self, stmt: Statement, table: Table, params: Sequence[Any]
+    ) -> tuple[Optional[Any], DMLPlan]:
+        """The WHERE closure an UPDATE/DELETE runs, and its plan.
+
+        The plan's closures were built against the statement's own
+        WHERE; once subquery materialisation rewrites it, the rewritten
+        expression gets a closure of its own for this execution.
+        """
+        where = self._materialize_subqueries(stmt.where, params)
+        plan = self._dml_plan(stmt, table)
+        if plan.fallbacks:
+            self.database.stats["compile_fallbacks"] += plan.fallbacks
+            _COMPILE_FALLBACKS.inc(plan.fallbacks)
+        if where is stmt.where:
+            return plan.where_fn, plan
+        return self._section(where, _single_table_context(table).columns), plan
 
     # ---------------------------------------------------------------- SELECT --
 
@@ -953,40 +915,16 @@ class Executor:
         expression is returned unchanged, so the caller's ``is`` check
         (and with it statement-level plan caching) keeps working.
         """
-        if expr is None:
-            return None
-        if not any(isinstance(node, Subquery) for node in walk(expr)):
-            return expr
-        if isinstance(expr, InList) and any(
-            isinstance(item, Subquery) for item in expr.items
-        ):
-            items: list[Expression] = []
-            for item in expr.items:
-                if isinstance(item, Subquery):
-                    columns, rows = self._execute_select(item.select, params)
-                    if len(columns) != 1:
-                        raise ProgrammingError(
-                            "IN subquery must return exactly one column"
-                        )
-                    items.extend(Literal(row[0]) for row in rows)
-                else:
-                    items.append(item)
-            return InList(
-                self._materialize_subqueries(expr.operand, params),  # type: ignore[arg-type]
-                items, expr.negated,
-            )
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(
-                expr.op,
-                self._materialize_subqueries(expr.left, params),  # type: ignore[arg-type]
-                self._materialize_subqueries(expr.right, params),  # type: ignore[arg-type]
-            )
-        from .ast_nodes import UnaryOp as _UnaryOp
-        if isinstance(expr, _UnaryOp):
-            return _UnaryOp(
-                expr.op, self._materialize_subqueries(expr.operand, params)  # type: ignore[arg-type]
-            )
-        return expr
+
+        def values(subquery: Subquery) -> list[Expression]:
+            columns, rows = self._execute_select(subquery.select, params)
+            if len(columns) != 1:
+                raise ProgrammingError(
+                    "IN subquery must return exactly one column"
+                )
+            return [Literal(row[0]) for row in rows]
+
+        return _replace_subqueries(expr, values)
 
     def _execute_select_core(
         self, stmt: Select, params: Sequence[Any]
@@ -1003,81 +941,44 @@ class Executor:
         if stmt.table is None:
             return self._select_no_from(stmt, params)
 
-        cplan = self._compiled_select(stmt)
-        if cplan is not None and cplan.fallbacks:
-            self.database.stats["compile_fallbacks"] += cplan.fallbacks
-            _COMPILE_FALLBACKS.inc(cplan.fallbacks)
-        layout = cplan.layout if cplan is not None else _Layout.build(self.database, stmt)
+        plan = self._select_plan(stmt)
+        if plan.fallbacks:
+            self.database.stats["compile_fallbacks"] += plan.fallbacks
+            _COMPILE_FALLBACKS.inc(plan.fallbacks)
 
         probe_active = self._probe is not None and self._probe.target is stmt
 
-        if cplan is not None and cplan.compact is not None and not probe_active:
-            compact_result = self._compact_select(stmt, cplan, params)
-            if compact_result is not None:
-                columns, projected = compact_result
-                if stmt.distinct:
-                    projected = _distinct(projected)
-                if stmt.compound is None:
-                    projected = _apply_limit(projected, stmt, params)
-                return columns, projected
-
-        raw_rows, plan = self._produce_rows(stmt, layout, params, cplan)
-
-        if stmt.where is not None:
-            where_fn = cplan.where_fn if cplan is not None else None
-            if where_fn is not None:
+        projected = None
+        if plan.compact is not None and not probe_active:
+            projected = self._compact_select(stmt, plan, params)
+        if projected is None:
+            raw_rows, access = self._produce_rows(stmt, plan, params)
+            if plan.where_fn is not None:
+                where_fn = plan.where_fn
                 raw_rows = (
                     row for row in raw_rows
                     if truthy(where_fn(row, params, None))
                 )
-            else:
-                context = RowContext(layout.resolution, layout.ambiguous)
-                where = stmt.where
-                raw_rows = (
-                    row for row in raw_rows
-                    if truthy(evaluate(where, context.bind(row), params))
-                )
-            if probe_active:
-                raw_rows = self._probe.wrap("where", raw_rows)
-
-        if cplan is not None:
-            is_grouped = cplan.is_grouped
-        else:
-            is_grouped = bool(stmt.group_by) or any(
-                contains_aggregate(item.expr) for item in stmt.items
-            ) or (stmt.having is not None and contains_aggregate(stmt.having))
-
-        if is_grouped:
-            if cplan is not None and cplan.grouped is not None:
-                columns, projected = self._grouped_select_compiled(
-                    stmt, cplan.columns, cplan.grouped, layout.total_width,
-                    raw_rows, params,
+                if probe_active:
+                    raw_rows = self._probe.wrap("where", raw_rows)
+            if plan.is_grouped:
+                projected = self._group_rows(
+                    stmt, plan.grouped, plan.layout.total_width, raw_rows, params
                 )
             else:
-                columns, projected = self._grouped_select(stmt, layout, raw_rows, params)
-        else:
-            plain_compiled = (
-                cplan is not None and cplan.proj is not None
-                and (not stmt.order_by or cplan.order_compiled)
-            )
-            if plain_compiled:
-                columns, projected = self._plain_select_compiled(
-                    stmt, cplan.columns, cplan.proj, cplan.order_specs,
-                    raw_rows, params, presorted=plan.ordered,
-                )
-            else:
-                columns, projected = self._plain_select(
-                    stmt, layout, raw_rows, params, presorted=plan.ordered
+                projected = self._project_rows(
+                    stmt, plan.proj, plan.order_specs, raw_rows, params,
+                    presorted=access.ordered,
                 )
 
         if stmt.distinct:
             projected = _distinct(projected)
 
         if stmt.compound is None:
-            # Ordering is handled inside _plain_select / _grouped_select so
-            # sort keys can see pre-projection columns; only LIMIT remains.
+            # Ordering is handled while projecting so sort keys can see
+            # pre-projection columns; only LIMIT remains.
             projected = _apply_limit(projected, stmt, params)
-        return columns, projected
+        return plan.columns, projected
 
     def _select_no_from(
         self, stmt: Select, params: Sequence[Any]
@@ -1098,11 +999,7 @@ class Executor:
     # -- row production (FROM + JOIN with pushdown) ---------------------------
 
     def _produce_rows(
-        self,
-        stmt: Select,
-        layout: "_Layout",
-        params: Sequence[Any],
-        cplan: Optional[SelectPlan] = None,
+        self, stmt: Select, splan: SelectPlan, params: Sequence[Any]
     ) -> tuple[Iterator[list[Any]], "_AccessPlan"]:
         assert stmt.table is not None
         base = self.database.table(stmt.table.name)
@@ -1121,19 +1018,13 @@ class Executor:
         if probe is not None:
             rows = probe.wrap("scan", rows)
 
-        offset = len(base.columns)
-        for i, join in enumerate(stmt.joins):
-            inner_table = self.database.table(join.table.name)
-            jplan = (
-                cplan.joins[i]
-                if cplan is not None and i < len(cplan.joins) else None
-            )
+        for i, (join, jplan) in enumerate(zip(stmt.joins, splan.joins)):
             rows = self._join(
-                rows, offset, inner_table, join, layout, params, jplan
+                rows, self.database.table(join.table.name), join.kind,
+                splan.layout.total_width, params, jplan,
             )
             if probe is not None:
                 rows = probe.wrap(f"join{i}", rows)
-            offset += len(inner_table.columns)
         return rows, plan
 
     def _iter_plan(
@@ -1176,17 +1067,15 @@ class Executor:
     def _join(
         self,
         left_rows: Iterator[list[Any]],
-        offset: int,
         inner: Table,
-        join: Join,
-        layout: "_Layout",
+        kind: str,
+        total: int,
         params: Sequence[Any],
-        jplan: Optional[JoinPlan] = None,
+        jplan: Optional[JoinPlan],
     ) -> Iterator[list[Any]]:
         inner_width = len(inner.columns)
-        condition = join.condition
 
-        if join.kind == "CROSS" or condition is None:
+        if jplan is None:  # CROSS JOIN, or a join without a condition
             inner_rows = [list(r) for _, r in inner.scan()]
             for left in left_rows:
                 for inner_row in inner_rows:
@@ -1195,255 +1084,99 @@ class Executor:
                     yield combined
             return
 
-        probe_fn = jplan.probe if jplan is not None else None
-        build_fn = jplan.build if jplan is not None else None
-        cond_fn = jplan.condition if jplan is not None else None
-        context = (
-            None
-            if probe_fn is not None and build_fn is not None and cond_fn is not None
-            else RowContext(layout.resolution, layout.ambiguous)
-        )
-        total = layout.total_width
-
-        equi = _find_equi_key(condition, layout, offset, inner_width)
-        if equi is not None:
-            left_expr, right_positions_expr = equi
-            # Build hash table over the inner relation; the build key is
-            # compiled once per statement when the plan covers it.
+        cond_fn = jplan.condition
+        if jplan.probe is not None:
+            # Hash join: build a table over the inner relation, probe it
+            # with each (padded) outer row.
+            build_fn, probe_fn = jplan.build, jplan.probe
             table_map: dict[Any, list[list[Any]]] = {}
-            if build_fn is not None:
-                for _rowid, inner_row in inner.scan():
-                    key = build_fn(inner_row, params, None)
-                    if key is None:
-                        continue
-                    table_map.setdefault(key, []).append(list(inner_row))
-            else:
-                inner_context = _single_table_context(inner, alias=join.table.effective_name)
-                for _rowid, inner_row in inner.scan():
-                    key = evaluate(right_positions_expr, inner_context.bind(inner_row), params)
-                    if key is None:
-                        continue
-                    table_map.setdefault(key, []).append(list(inner_row))
+            for _rowid, inner_row in inner.scan():
+                key = build_fn(inner_row, params, None)
+                if key is None:
+                    continue
+                table_map.setdefault(key, []).append(list(inner_row))
             for left in left_rows:
                 padded = left + [None] * (total - len(left))
-                if probe_fn is not None:
-                    key = probe_fn(padded, params, None)
-                else:
-                    key = evaluate(left_expr, context.bind(padded), params)
+                key = probe_fn(padded, params, None)
                 matches = table_map.get(key, []) if key is not None else []
                 emitted = False
                 for inner_row in matches:
                     combined = left + inner_row
                     combined += [None] * (total - len(combined))
-                    if cond_fn is not None:
-                        ok = truthy(cond_fn(combined, params, None))
-                    else:
-                        ok = truthy(evaluate(condition, context.bind(combined), params))
-                    if ok:
+                    if truthy(cond_fn(combined, params, None)):
                         emitted = True
                         yield combined[: len(left) + inner_width]
-                if not emitted and join.kind == "LEFT":
+                if not emitted and kind == "LEFT":
                     yield left + [None] * inner_width
             return
 
-        # Fallback: nested loop.
+        # No equi-key: nested loop.
         inner_rows = [list(r) for _, r in inner.scan()]
         for left in left_rows:
             emitted = False
             for inner_row in inner_rows:
                 combined = left + inner_row
                 padded = combined + [None] * (total - len(combined))
-                if cond_fn is not None:
-                    ok = truthy(cond_fn(padded, params, None))
-                else:
-                    ok = truthy(evaluate(condition, context.bind(padded), params))
-                if ok:
+                if truthy(cond_fn(padded, params, None)):
                     emitted = True
                     yield combined
-            if not emitted and join.kind == "LEFT":
+            if not emitted and kind == "LEFT":
                 yield left + [None] * inner_width
 
-    # -- projection paths ---------------------------------------------------------
+    # -- plans (see compile.py) -------------------------------------------------
 
-    def _plain_select(
+    def _section(
         self,
-        stmt: Select,
-        layout: "_Layout",
-        raw_rows: Iterator[list[Any]],
-        params: Sequence[Any],
-        presorted: bool = False,
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        columns, exprs = _expand_items(stmt.items, layout)
-        context = RowContext(layout.resolution, layout.ambiguous)
+        expr: Expression,
+        columns: dict[str, int],
+        ambiguous: frozenset[str] = frozenset(),
+        agg_slots: Optional[dict[int, int]] = None,
+        used: Optional[set] = None,
+    ) -> Any:
+        """The closure one pipeline section runs ``expr`` with.
 
-        # ``presorted`` rows arrive in ORDER BY order straight from an
-        # ordered index: skip the sort and stop early once LIMIT+OFFSET
-        # rows have been projected (the index stops producing rows too).
-        needs_order = bool(stmt.order_by) and stmt.compound is None and not presorted
-        row_cap = None
-        if presorted and stmt.limit is not None:
-            limit = evaluate(stmt.limit, None, params)
-            if limit is not None and int(limit) >= 0:
-                offset = (
-                    evaluate(stmt.offset, None, params)
-                    if stmt.offset is not None else 0
-                )
-                row_cap = int(limit) + int(offset or 0)
-        alias_map = {
-            (item.alias or "").lower(): item.expr
-            for item in stmt.items
-            if item.alias
-        }
+        The compiler's closure when it lowers ``expr``; otherwise an
+        :class:`_Interpreted` one with the same signature, which the
+        plan counts as a fallback.  Any exception from the compiler is a
+        refusal: the interpreted closure then raises, or not, when a row
+        reaches it.  ``columns``/``ambiguous`` resolve names in the row
+        shape the closure is given; ``agg_slots`` marks a section
+        evaluated after grouping.
+        """
+        try:
+            return compile_expr(expr, columns, agg_slots, used)
+        except Exception:
+            return _Interpreted(expr, columns, ambiguous, agg_slots)
 
-        projected: list[tuple[Any, ...]] = []
-        order_keys: list[tuple] = []
-        for row in raw_rows:
-            context.bind(row)
-            values = tuple(
-                row[e] if isinstance(e, int) else evaluate(e, context, params)
-                for e in exprs
-            )
-            if needs_order:
-                key = _order_key_for_row(
-                    stmt.order_by, context, params, alias_map, values, columns
-                )
-                order_keys.append(key)
-            projected.append(values)
-            if row_cap is not None and len(projected) >= row_cap:
-                break
-        if needs_order:
-            paired = sorted(zip(order_keys, range(len(projected))), key=lambda p: p[0])
-            projected = [projected[i] for _, i in paired]
-        return columns, projected
-
-    def _grouped_select(
+    def _sections(
         self,
-        stmt: Select,
-        layout: "_Layout",
-        raw_rows: Iterator[list[Any]],
-        params: Sequence[Any],
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        columns, exprs = _expand_items(stmt.items, layout)
-        context = RowContext(layout.resolution, layout.ambiguous)
+        columns: dict[str, int],
+        ambiguous: frozenset[str] = frozenset(),
+        used: Optional[set] = None,
+        remap: Optional[dict[int, int]] = None,
+    ):
+        """``section(e, agg_slots=None)`` for one row shape: a star
+        column's row position (translated by ``remap`` into a compacted
+        shape), or an expression's :meth:`_section` closure.  Every
+        position read is added to ``used`` when given."""
 
-        # GROUP BY may reference select-list aliases ("GROUP BY k") or
-        # ordinals ("GROUP BY 1"); substitute the aliased expression.
-        early_alias_map = {
-            (item.alias or "").lower(): item.expr for item in stmt.items if item.alias
-        }
-        group_by = [
-            _resolve_group_expr(g, early_alias_map, stmt.items) for g in stmt.group_by
-        ]
-        # HAVING may also reference select aliases ("HAVING c > 1").
-        having = (
-            _substitute_aliases(stmt.having, early_alias_map)
-            if stmt.having is not None
-            else None
-        )
+        def section(e: Any, agg_slots: Optional[dict[int, int]] = None) -> Any:
+            if isinstance(e, int):
+                if used is not None:
+                    used.add(e)
+                return e if remap is None else remap[e]
+            return self._section(e, columns, ambiguous, agg_slots, used)
 
-        # Collect every aggregate call appearing anywhere in the query.
-        agg_nodes: list[FunctionCall] = []
-        seen: set[int] = set()
-        scan_targets: list[Expression] = [item.expr for item in stmt.items]
-        if having is not None:
-            scan_targets.append(having)
-        for order in stmt.order_by:
-            scan_targets.append(order.expr)
-        for target in scan_targets:
-            for node in walk(target):
-                if is_aggregate_call(node):
-                    if id(node) not in seen:
-                        seen.add(id(node))
-                        agg_nodes.append(node)
+        return section
 
-        groups: dict[tuple, _Group] = {}
-        group_order: list[tuple] = []
-        for row in raw_rows:
-            context.bind(row)
-            if group_by:
-                key = tuple(
-                    _hashable(evaluate(g, context, params)) for g in group_by
-                )
-            else:
-                key = ()
-            group = groups.get(key)
-            if group is None:
-                group = _Group(
-                    representative=list(row),
-                    accumulators=[
-                        (_make_distinct(node) if node.distinct else make_aggregate(node.name))
-                        for node in agg_nodes
-                    ],
-                )
-                groups[key] = group
-                group_order.append(key)
-            for node, acc in zip(agg_nodes, group.accumulators):
-                if node.args and not isinstance(node.args[0], Star):
-                    value = evaluate(node.args[0], context, params)
-                else:
-                    value = 1  # COUNT(*)
-                acc.step(value)
-
-        if not groups and not stmt.group_by:
-            # Aggregates over an empty relation still return one row.
-            groups[()] = _Group(
-                representative=[None] * layout.total_width,
-                accumulators=[
-                    (_make_distinct(node) if node.distinct else make_aggregate(node.name))
-                    for node in agg_nodes
-                ],
-            )
-            group_order.append(())
-
-        agg_index = {id(node): i for i, node in enumerate(agg_nodes)}
-        results: list[tuple[Any, ...]] = []
-        order_keys: list[tuple] = []
-        alias_map = {
-            (item.alias or "").lower(): item.expr for item in stmt.items if item.alias
-        }
-        for key in group_order:
-            group = groups[key]
-            agg_values = [acc.finalize() for acc in group.accumulators]
-            context.bind(group.representative)
-            evaluator = _AggregateEvaluator(context, params, agg_index, agg_values)
-            if having is not None and not truthy(evaluator.eval(having)):
-                continue
-            values = tuple(
-                group.representative[e] if isinstance(e, int) else evaluator.eval(e)
-                for e in exprs
-            )
-            if stmt.order_by:
-                order_key = []
-                for order in stmt.order_by:
-                    expr = _resolve_order_expr(order.expr, alias_map, values, columns)
-                    if isinstance(expr, int):
-                        value = values[expr]
-                    else:
-                        value = evaluator.eval(expr)
-                    k = sort_key(value)
-                    order_key.append(
-                        _Reversor(k) if order.descending else k
-                    )
-                order_keys.append(tuple(order_key))
-            results.append(values)
-        if stmt.order_by:
-            paired = sorted(zip(order_keys, range(len(results))), key=lambda p: p[0])
-            results = [results[i] for _, i in paired]
-        return columns, results
-
-    # -- compiled execution (see compile.py) ----------------------------------
-
-    def _compiled_select(self, stmt: Select) -> Optional[SelectPlan]:
-        """Fetch or build the compiled plan for a SELECT.
+    def _select_plan(self, stmt: Select) -> SelectPlan:
+        """Fetch or build the plan for a SELECT.
 
         Plans are cached on the Statement object itself, so their
         lifetime is the connection's LRU statement cache; validity is
         keyed on ``Database.schema_version`` (any DDL invalidates).
-        Returns None when ``PRAGMA compile off`` is in effect.
         """
         database = self.database
-        if not database.compile_enabled:
-            return None
         plan = getattr(stmt, "_msql_plan", None)
         if plan is not None and plan.schema_version == database.schema_version:
             database.stats["plan_cache_hits"] += 1
@@ -1458,81 +1191,57 @@ class Executor:
         return plan
 
     def _build_select_plan(self, stmt: Select) -> SelectPlan:
-        """Compile every section of a SELECT that the compiler covers.
+        """Pick a closure for every section of a SELECT.
 
-        Sections fail independently: a WHERE the compiler cannot lower
-        leaves ``where_fn`` as None (interpreted) while joins and the
-        projection may still run compiled.  Layout errors (unknown
-        table, duplicate alias) propagate — the interpreter raises them
-        at the same point.
+        Each expression gets its own :meth:`_section` closure, so an
+        expression the compiler refuses leaves the others compiled.
+        Layout errors (unknown table, duplicate alias, an unknown
+        ``alias.*``, a GROUP BY position out of range) propagate: the
+        statement fails before any row is read.
         """
         database = self.database
         layout = _Layout.build(database, stmt)
-        resolution = layout.resolution
-        plan = SelectPlan(
-            schema_version=database.schema_version,
-            layout=layout, columns=None, exprs=None, where_fn=None,
-        )
-        fallbacks = 0
         used: set[int] = set()
-
-        if stmt.where is not None:
-            plan.where_fn = try_compile(stmt.where, resolution, None, used)
-            if plan.where_fn is None:
-                fallbacks += 1
+        section = self._sections(layout.resolution, layout.ambiguous, used)
+        columns, exprs = _expand_items(stmt.items, layout)
+        plan = SelectPlan(
+            schema_version=database.schema_version, layout=layout,
+            columns=columns, exprs=exprs,
+            where_fn=section(stmt.where) if stmt.where is not None else None,
+        )
 
         offset = len(database.table(stmt.table.name).columns)
         for join in stmt.joins:
             inner_table = database.table(join.table.name)
             jplan: Optional[JoinPlan] = None
             if join.kind != "CROSS" and join.condition is not None:
-                cond_fn = try_compile(join.condition, resolution, None, used)
+                jplan = JoinPlan(None, None, section(join.condition))
                 equi = _find_equi_key(
                     join.condition, layout, offset, len(inner_table.columns)
                 )
                 if equi is not None:
-                    probe_fn = try_compile(equi[0], resolution, None, used)
-                    inner_resolution = _single_table_context(
+                    jplan.probe = section(equi[0])
+                    jplan.build = self._section(equi[1], _single_table_context(
                         inner_table, alias=join.table.effective_name
-                    ).columns
-                    build_fn = try_compile(equi[1], inner_resolution)
-                    if cond_fn and probe_fn and build_fn:
-                        jplan = JoinPlan(probe_fn, build_fn, cond_fn)
-                elif cond_fn is not None:
-                    jplan = JoinPlan(None, None, cond_fn)
-                if jplan is None:
-                    fallbacks += 1
+                    ).columns)
             plan.joins.append(jplan)
             offset += len(inner_table.columns)
-
-        try:
-            columns, exprs = _expand_items(stmt.items, layout)
-            plan.columns, plan.exprs = columns, exprs
-        except Exception:
-            columns = exprs = None
 
         plan.is_grouped = bool(stmt.group_by) or any(
             contains_aggregate(item.expr) for item in stmt.items
         ) or (stmt.having is not None and contains_aggregate(stmt.having))
-
-        if exprs is None:
-            fallbacks += 1
-        elif plan.is_grouped:
-            plan.grouped = self._build_group_plan(stmt, columns, exprs, resolution, used)
-            if plan.grouped is None:
-                fallbacks += 1
+        if plan.is_grouped:
+            plan.grouped = self._build_group_plan(stmt, columns, exprs, section)
         else:
-            proj, order_specs, order_ok = self._build_plain_plan(
-                stmt, columns, exprs, resolution, used
+            plan.proj, plan.order_specs = self._build_plain_plan(
+                stmt, columns, exprs, section
             )
-            if proj is not None and order_ok:
-                plan.proj = proj
-                plan.order_specs = order_specs
-                plan.order_compiled = bool(stmt.order_by)
-            else:
-                fallbacks += 1
 
-        plan.fallbacks = fallbacks
+        plan.fallbacks = _count_interpreted(
+            plan.where_fn, plan.joins, plan.grouped, plan.proj, plan.order_specs
+        )
+        if plan.fallbacks or stmt.joins:
+            return plan
         try:
             plan.compact = self._build_compact(stmt, plan, used)
         except Exception:
@@ -1545,159 +1254,79 @@ class Executor:
         return plan
 
     def _build_plain_plan(
-        self,
-        stmt: Select,
-        columns: list[str],
-        exprs: list[Any],
-        resolution: dict[str, int],
-        used: Optional[set],
-        remap: Optional[dict[int, int]] = None,
-    ) -> tuple[Optional[list[Any]], Optional[list[tuple[Any, bool]]], bool]:
-        """Compile projection + ORDER BY for a non-grouped select.
-
-        Returns (proj, order_specs, order_ok); (None, None, False) means
-        the section stays interpreted.  ``remap`` translates star-column
-        row positions when compiling against a compacted row shape.
-        """
-        proj: list[Any] = []
-        for e in exprs:
-            if isinstance(e, int):
-                position = remap[e] if remap is not None else e
-                if used is not None:
-                    used.add(e)
-                proj.append(position)
-            else:
-                fn = try_compile(e, resolution, None, used)
-                if fn is None:
-                    return None, None, False
-                proj.append(fn)
+        self, stmt: Select, columns: list[str], exprs: list[Any], section
+    ) -> tuple[list[Any], Optional[list[tuple[Any, bool]]]]:
+        """Projection + ORDER BY closures for a non-grouped select:
+        (per column, per ORDER BY item (spec, descending) or None)."""
+        proj = [section(e) for e in exprs]
         if not stmt.order_by:
-            return proj, None, True
+            return proj, None
         alias_map = {
             (item.alias or "").lower(): item.expr
             for item in stmt.items if item.alias
         }
         lowered = [c.lower() for c in columns]
-        dummy_values = tuple(columns)  # only its length matters here
         order_specs: list[tuple[Any, bool]] = []
         for order in stmt.order_by:
-            try:
-                resolved = _resolve_order_expr(
-                    order.expr, alias_map, dummy_values, columns
-                )
-            except ProgrammingError:
-                # Out-of-range ordinal: raised per row by the interpreter,
-                # so an empty relation must not raise.  Stay interpreted.
-                return None, None, False
-            if isinstance(resolved, int):
-                order_specs.append((resolved, bool(order.descending)))
-                continue
-            fn = try_compile(resolved, resolution, None, used)
-            if fn is None:
-                # Mirror _order_key_for_row: an unresolvable bare column
-                # ref falls back to the projected column of that name.
-                if (
-                    isinstance(resolved, ColumnRef)
-                    and resolved.name.lower() in lowered
-                ):
-                    order_specs.append(
-                        (lowered.index(resolved.name.lower()), bool(order.descending))
-                    )
-                    continue
-                return None, None, False
-            order_specs.append((fn, bool(order.descending)))
-        return proj, order_specs, True
+            spec = _order_spec(order, alias_map, columns, section)
+            if (
+                isinstance(spec, _Interpreted)
+                and isinstance(spec.expr, ColumnRef)
+                and spec.expr.qualified.lower() not in spec.context.columns
+                and spec.expr.name.lower() in lowered
+            ):
+                # A name the row cannot resolve sorts by the projected
+                # column of that name.
+                spec = lowered.index(spec.expr.name.lower())
+            order_specs.append((spec, bool(order.descending)))
+        return proj, order_specs
 
     def _build_group_plan(
-        self,
-        stmt: Select,
-        columns: list[str],
-        exprs: list[Any],
-        resolution: dict[str, int],
-        used: Optional[set],
-        remap: Optional[dict[int, int]] = None,
-    ) -> Optional[GroupPlan]:
-        """Compile hash aggregation end to end, or None for interpreter.
-
-        All-or-nothing: the grouped pipeline shares one representative
-        row and one aggregate value table, so mixing compiled and
-        interpreted pieces is not worth the bookkeeping.
-        """
-        try:
-            early_alias_map = {
-                (item.alias or "").lower(): item.expr
-                for item in stmt.items if item.alias
-            }
-            group_by = [
-                _resolve_group_expr(g, early_alias_map, stmt.items)
-                for g in stmt.group_by
-            ]
-            having = (
-                _substitute_aliases(stmt.having, early_alias_map)
-                if stmt.having is not None else None
-            )
-            # Aggregate call sites, id-deduplicated in the same walk order
-            # as the interpreter so DISTINCT wrapping matches.
-            agg_nodes: list[FunctionCall] = []
-            seen: set[int] = set()
-            scan_targets: list[Expression] = [item.expr for item in stmt.items]
-            if having is not None:
-                scan_targets.append(having)
-            for order in stmt.order_by:
-                scan_targets.append(order.expr)
-            for target in scan_targets:
-                for node in walk(target):
-                    if is_aggregate_call(node) and id(node) not in seen:
-                        seen.add(id(node))
-                        agg_nodes.append(node)
-
-            group_fns = [compile_expr(g, resolution, None, used) for g in group_by]
-            arg_fns: list[Optional[Any]] = []
-            for node in agg_nodes:
-                if node.args and not isinstance(node.args[0], Star):
-                    arg_fns.append(compile_expr(node.args[0], resolution, None, used))
-                else:
-                    arg_fns.append(None)  # COUNT(*)
-            acc_factories = [
+        self, stmt: Select, columns: list[str], exprs: list[Any], section
+    ) -> GroupPlan:
+        """Hash aggregation: group keys and aggregate arguments over
+        input rows; HAVING, the select list and ORDER BY over each
+        group's representative row and finalized aggregates."""
+        # GROUP BY and HAVING may name select-list aliases ("GROUP BY
+        # k", "HAVING c > 1"), GROUP BY also ordinals ("GROUP BY 1").
+        alias_map = {
+            (item.alias or "").lower(): item.expr
+            for item in stmt.items if item.alias
+        }
+        group_by = [
+            _resolve_group_expr(g, alias_map, stmt.items) for g in stmt.group_by
+        ]
+        having = (
+            _substitute_aliases(stmt.having, alias_map)
+            if stmt.having is not None else None
+        )
+        agg_nodes = _aggregate_calls(stmt, having)
+        agg_slots = {id(node): i for i, node in enumerate(agg_nodes)}
+        return GroupPlan(
+            group_fns=[section(g) for g in group_by],
+            acc_factories=[
                 (lambda n=node: _make_distinct(n)) if node.distinct
                 else (lambda name=node.name: make_aggregate(name))
                 for node in agg_nodes
-            ]
-            agg_slots = {id(node): i for i, node in enumerate(agg_nodes)}
-            having_fn = (
-                compile_expr(having, resolution, agg_slots, used)
-                if having is not None else None
-            )
-            item_slots: list[Any] = []
-            for e in exprs:
-                if isinstance(e, int):
-                    position = remap[e] if remap is not None else e
-                    if used is not None:
-                        used.add(e)
-                    item_slots.append(position)
-                else:
-                    item_slots.append(compile_expr(e, resolution, agg_slots, used))
-            order_specs: Optional[list[tuple[Any, bool]]] = None
-            if stmt.order_by:
-                dummy_values = tuple(columns)
-                order_specs = []
-                for order in stmt.order_by:
-                    resolved = _resolve_order_expr(
-                        order.expr, early_alias_map, dummy_values, columns
-                    )
-                    if isinstance(resolved, int):
-                        order_specs.append((resolved, bool(order.descending)))
-                    else:
-                        order_specs.append((
-                            compile_expr(resolved, resolution, agg_slots, used),
-                            bool(order.descending),
-                        ))
-            return GroupPlan(
-                group_fns, acc_factories, arg_fns, having_fn, item_slots,
-                order_specs,
-            )
-        except Exception:
-            return None
+            ],
+            arg_fns=[
+                section(node.args[0])
+                if node.args and not isinstance(node.args[0], Star)
+                else None  # COUNT(*)
+                for node in agg_nodes
+            ],
+            having_fn=(
+                section(having, agg_slots) if having is not None else None
+            ),
+            item_slots=[section(e, agg_slots) for e in exprs],
+            order_specs=[
+                (
+                    _order_spec(order, alias_map, columns, section, agg_slots),
+                    bool(order.descending),
+                )
+                for order in stmt.order_by
+            ] if stmt.order_by else None,
+        )
 
     def _build_compact(
         self, stmt: Select, plan: SelectPlan, used: set
@@ -1710,16 +1339,6 @@ class Executor:
         touches every column (or none — e.g. COUNT(*)), reuse the full
         closures over the raw stored rows (zero copies either way).
         """
-        if stmt.joins or stmt.table is None or plan.columns is None:
-            return None
-        if stmt.where is not None and plan.where_fn is None:
-            return None
-        if plan.is_grouped:
-            if plan.grouped is None:
-                return None
-        else:
-            if plan.proj is None or (stmt.order_by and not plan.order_compiled):
-                return None
         total = plan.layout.total_width
         if not used or len(used) >= total:
             return CompactPlan(
@@ -1727,28 +1346,20 @@ class Executor:
             )
         positions = tuple(sorted(used))
         remap = {p: i for i, p in enumerate(positions)}
-        compact_resolution = {
-            key: remap[pos]
-            for key, pos in plan.layout.resolution.items()
-            if pos in remap
-        }
-        where_fn = (
-            compile_expr(stmt.where, compact_resolution)
-            if stmt.where is not None else None
-        )
+        section = self._sections(_compact_resolution(plan, remap), remap=remap)
+        where_fn = section(stmt.where) if stmt.where is not None else None
+        grouped = proj = order_specs = None
         if plan.is_grouped:
             grouped = self._build_group_plan(
-                stmt, plan.columns, plan.exprs, compact_resolution, None, remap
+                stmt, plan.columns, plan.exprs, section
             )
-            if grouped is None:
-                return None
-            return CompactPlan(positions, where_fn, grouped, None, None)
-        proj, order_specs, order_ok = self._build_plain_plan(
-            stmt, plan.columns, plan.exprs, compact_resolution, None, remap
-        )
-        if proj is None or not order_ok:
+        else:
+            proj, order_specs = self._build_plain_plan(
+                stmt, plan.columns, plan.exprs, section
+            )
+        if _count_interpreted(where_fn, grouped, proj, order_specs):
             return None
-        return CompactPlan(positions, where_fn, None, proj, order_specs)
+        return CompactPlan(positions, where_fn, grouped, proj, order_specs)
 
     def _build_vector(
         self, stmt: Select, plan: SelectPlan, used: set
@@ -1768,11 +1379,7 @@ class Executor:
             return None
         positions = tuple(sorted(used))
         remap = {p: i for i, p in enumerate(positions)}
-        resolution = {
-            key: remap[pos]
-            for key, pos in plan.layout.resolution.items()
-            if pos in remap
-        }
+        resolution = _compact_resolution(plan, remap)
         purities = [
             "text" if table.columns[p].affinity == "TEXT" else "num"
             for p in positions
@@ -1793,32 +1400,21 @@ class Executor:
             if stmt.group_by:
                 return None
             gp = self._build_group_plan(
-                stmt, plan.columns, plan.exprs, resolution, None, remap
+                stmt, plan.columns, plan.exprs,
+                self._sections(resolution, remap=remap),
             )
-            if gp is None:
+            if _count_interpreted(gp):
                 return None
-            # Replicate _build_group_plan's aggregate-site walk so the
-            # spec list aligns index-for-index with gp.acc_factories.
-            early_alias_map = {
+            # The same aggregate sites, in the same order, as gp's
+            # acc_factories.
+            alias_map = {
                 (item.alias or "").lower(): item.expr
                 for item in stmt.items if item.alias
             }
-            having = (
-                _substitute_aliases(stmt.having, early_alias_map)
+            agg_nodes = _aggregate_calls(stmt, (
+                _substitute_aliases(stmt.having, alias_map)
                 if stmt.having is not None else None
-            )
-            agg_nodes: list[FunctionCall] = []
-            seen: set[int] = set()
-            scan_targets: list[Expression] = [item.expr for item in stmt.items]
-            if having is not None:
-                scan_targets.append(having)
-            for order in stmt.order_by:
-                scan_targets.append(order.expr)
-            for target in scan_targets:
-                for node in walk(target):
-                    if is_aggregate_call(node) and id(node) not in seen:
-                        seen.add(id(node))
-                        agg_nodes.append(node)
+            ))
             aggs: list[tuple[str, bool, bool, Any]] = []
             for node in agg_nodes:
                 star = not node.args or isinstance(node.args[0], Star)
@@ -1856,13 +1452,10 @@ class Executor:
                 for item in stmt.items if item.alias
             }
             lowered = [c.lower() for c in plan.columns]
-            dummy_values = tuple(plan.columns)
             order = []
             for o in stmt.order_by:
                 try:
-                    resolved = _resolve_order_expr(
-                        o.expr, alias_map, dummy_values, plan.columns
-                    )
+                    resolved = _resolve_order_expr(o.expr, alias_map, plan.columns)
                 except ProgrammingError:
                     return None
                 if isinstance(resolved, int):
@@ -1892,7 +1485,7 @@ class Executor:
     def _vector_select(
         self, stmt: Select, plan: SelectPlan, table: Table,
         params: Sequence[Any], slots: Optional[Sequence[int]] = None,
-    ) -> Optional[tuple[list[str], list[tuple[Any, ...]]]]:
+    ) -> Optional[list[tuple[Any, ...]]]:
         """Run the vector plan over every live row, or over ``slots``
         when an index probe selected them, or return None to fall back
         (atomic contract: impure column, empty relation, or any
@@ -1928,7 +1521,7 @@ class Executor:
         self, stmt: Select, plan: SelectPlan, vp: VectorPlan,
         cols: list, n: int, sel: Optional[list[int]],
         params: Sequence[Any],
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
+    ) -> list[tuple[Any, ...]]:
         n_sel = n if sel is None else len(sel)
         out_cols: list[list[Any]] = []
         for e in vp.items:
@@ -1964,12 +1557,12 @@ class Executor:
                 zip(zip(*key_cols), range(n_sel)), key=lambda p: p[0]
             )
             projected = [projected[i] for _, i in paired]
-        return plan.columns, projected
+        return projected
 
     def _vector_agg(
         self, plan: SelectPlan, vp: VectorPlan, cols: list, n: int,
         sel: Optional[list[int]], params: Sequence[Any],
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
+    ) -> list[tuple[Any, ...]]:
         """Ungrouped aggregates as column sweeps.
 
         The big five (COUNT/SUM/AVG/MIN/MAX, non-DISTINCT) run as C-speed
@@ -1977,7 +1570,7 @@ class Executor:
         accumulator's step/finalize sequence; everything else feeds the
         row accumulator from the vectorized argument column.  HAVING and
         the projection reuse the PR 5 closures over the one representative
-        row, exactly like _grouped_select_compiled's single-group tail.
+        row, exactly like _group_rows's single-group tail.
         """
         gp = vp.grouped
         n_sel = n if sel is None else len(sel)
@@ -2048,11 +1641,11 @@ class Executor:
                         else spec(rep, params, aggs)
                     )
             results.append(values)
-        return plan.columns, results
+        return results
 
     def _compact_select(
         self, stmt: Select, plan: SelectPlan, params: Sequence[Any]
-    ) -> Optional[tuple[list[str], list[tuple[Any, ...]]]]:
+    ) -> Optional[list[tuple[Any, ...]]]:
         """Batched scan → filter → project/aggregate over compacted rows.
 
         Runs when the access planner picks a full scan; an index access
@@ -2089,60 +1682,26 @@ class Executor:
             _VECTOR_FALLBACKS.inc()
         where_fn = compact.where_fn
         batches = table.scan_batches(positions=compact.positions)
-
+        if where_fn is not None:
+            batches = (
+                [row for row in chunk if truthy(where_fn(row, params, None))]
+                for chunk in batches
+            )
+        rows = chain.from_iterable(batches)
         if plan.is_grouped:
-            def filtered() -> Iterator[Sequence[Any]]:
-                if where_fn is None:
-                    for chunk in batches:
-                        yield from chunk
-                else:
-                    for chunk in batches:
-                        for row in chunk:
-                            if truthy(where_fn(row, params, None)):
-                                yield row
             width = (
                 len(compact.positions)
                 if compact.positions is not None else plan.layout.total_width
             )
-            return self._grouped_select_compiled(
-                stmt, plan.columns, compact.grouped, width, filtered(), params
-            )
-
-        proj = compact.proj
-        needs_order = bool(stmt.order_by) and stmt.compound is None
-        order_specs = compact.order_specs if needs_order else None
-        projected: list[tuple[Any, ...]] = []
-        order_keys: list[tuple] = []
-        for chunk in batches:
-            if where_fn is not None:
-                chunk = [r for r in chunk if truthy(where_fn(r, params, None))]
-            for row in chunk:
-                values = tuple(
-                    row[e] if type(e) is int else e(row, params, None)
-                    for e in proj
-                )
-                if order_specs is not None:
-                    key = []
-                    for spec, descending in order_specs:
-                        value = (
-                            values[spec] if type(spec) is int
-                            else spec(row, params, None)
-                        )
-                        k = sort_key(value)
-                        key.append(_Reversor(k) if descending else k)
-                    order_keys.append(tuple(key))
-                projected.append(values)
-        if order_specs is not None:
-            paired = sorted(
-                zip(order_keys, range(len(projected))), key=lambda p: p[0]
-            )
-            projected = [projected[i] for _, i in paired]
-        return plan.columns, projected
+            return self._group_rows(stmt, compact.grouped, width, rows, params)
+        return self._project_rows(
+            stmt, compact.proj, compact.order_specs, rows, params
+        )
 
     def _vector_probe(
         self, stmt: Select, plan: SelectPlan, table: Table,
         access: "_AccessPlan", params: Sequence[Any],
-    ) -> Optional[tuple[list[str], list[tuple[Any, ...]]]]:
+    ) -> Optional[list[tuple[Any, ...]]]:
         """The vector plan over the slots an index probe selects.
 
         Takes a hash ``eq`` probe or an unordered btree ``range``, in
@@ -2181,17 +1740,19 @@ class Executor:
         _VECTOR_SELECTS.inc()
         return result
 
-    def _plain_select_compiled(
+    def _project_rows(
         self,
         stmt: Select,
-        columns: list[str],
         proj: list[Any],
         order_specs: Optional[list[tuple[Any, bool]]],
-        raw_rows: Iterator[list[Any]],
+        raw_rows: Iterable[Sequence[Any]],
         params: Sequence[Any],
         presorted: bool = False,
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        """_plain_select with every per-row evaluation pre-compiled."""
+    ) -> list[tuple[Any, ...]]:
+        """Project each row, sorting by ORDER BY keys computed from the
+        unprojected row.  ``presorted`` rows arrive in ORDER BY order
+        from an ordered index: no sort, and projection stops once
+        LIMIT+OFFSET rows are in (the index stops producing rows too)."""
         needs_order = bool(stmt.order_by) and stmt.compound is None and not presorted
         row_cap = None
         if presorted and stmt.limit is not None:
@@ -2228,19 +1789,20 @@ class Executor:
                 zip(order_keys, range(len(projected))), key=lambda p: p[0]
             )
             projected = [projected[i] for _, i in paired]
-        return columns, projected
+        return projected
 
-    def _grouped_select_compiled(
+    def _group_rows(
         self,
         stmt: Select,
-        columns: list[str],
         gp: GroupPlan,
         width: int,
-        raw_rows: Iterator[Sequence[Any]],
+        raw_rows: Iterable[Sequence[Any]],
         params: Sequence[Any],
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
-        """_grouped_select with group keys, aggregate arguments, HAVING
-        and post-aggregation projection pre-compiled."""
+    ) -> list[tuple[Any, ...]]:
+        """Hash-aggregate the rows; each group yields one result row
+        (HAVING permitting), sorted by its ORDER BY keys.  ``width`` is
+        the row width, for the all-NULL representative of the one
+        group an ungrouped aggregate has over no rows."""
         group_fns = gp.group_fns
         arg_fns = gp.arg_fns
         factories = gp.acc_factories
@@ -2293,39 +1855,29 @@ class Executor:
                 zip(order_keys, range(len(results))), key=lambda p: p[0]
             )
             results = [results[i] for _, i in paired]
-        return columns, results
+        return results
 
-    def _compiled_dml(
-        self, stmt: Statement, table: Table, is_update: bool
-    ) -> Optional[DMLPlan]:
+    def _dml_plan(self, stmt: Statement, table: Table) -> DMLPlan:
         """Plan cache for UPDATE/DELETE WHERE and SET closures."""
         database = self.database
-        if not database.compile_enabled:
-            return None
         plan = getattr(stmt, "_msql_plan", None)
         if plan is not None and plan.schema_version == database.schema_version:
             database.stats["plan_cache_hits"] += 1
             _PLAN_HITS.inc()
             return plan
         t0 = time.perf_counter()
-        resolution = _single_table_context(table).columns
-        fallbacks = 0
-        where_fn = None
-        if stmt.where is not None:
-            where_fn = try_compile(stmt.where, resolution)
-            if where_fn is None:
-                fallbacks += 1
-        assign_fns: Optional[list[tuple[int, Any]]] = None
-        if is_update:
-            assign_fns = []
-            for name, expr in stmt.assignments:
-                fn = try_compile(expr, resolution)
-                if fn is None:
-                    assign_fns = None
-                    fallbacks += 1
-                    break
-                assign_fns.append((table.position_of(name), fn))
-        plan = DMLPlan(database.schema_version, where_fn, assign_fns, fallbacks)
+        columns = _single_table_context(table).columns
+        where_fn = (
+            self._section(stmt.where, columns) if stmt.where is not None else None
+        )
+        assign_fns = [
+            (table.position_of(name), self._section(expr, columns))
+            for name, expr in getattr(stmt, "assignments", ())
+        ]
+        plan = DMLPlan(
+            database.schema_version, where_fn, assign_fns,
+            _count_interpreted(where_fn, assign_fns),
+        )
         _COMPILE_SECONDS.observe(time.perf_counter() - t0)
         database.stats["plan_cache_misses"] += 1
         _PLAN_MISSES.inc()
@@ -2336,12 +1888,6 @@ class Executor:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Group:
-    representative: list[Any]
-    accumulators: list[Any]
 
 
 class _DistinctWrapper:
@@ -2427,7 +1973,7 @@ class _AggregateEvaluator:
                 self._rewrite(expr.operand), self._rewrite(expr.pattern), expr.negated
             )
         if isinstance(expr, n.FunctionCall):
-            if is_aggregate(expr.name):
+            if is_aggregate_call(expr):
                 # aggregate not in index — e.g. nested aggregates
                 raise ProgrammingError(
                     f"misuse of aggregate function {expr.name}()"
@@ -2444,6 +1990,63 @@ class _AggregateEvaluator:
         if isinstance(expr, n.CastExpr):
             return n.CastExpr(self._rewrite(expr.operand), expr.target_type)
         return expr
+
+
+class _Interpreted:
+    """A section the compiler refused, as a closure with the compiled
+    signature ``fn(row, params, aggs)``.
+
+    It interprets its expression on the row it is given, so an error
+    (an unknown name or function, aggregate misuse) surfaces only when
+    a row reaches it, as it does in sqlite.  With ``agg_slots`` it is a
+    post-aggregation section: aggregate call sites read the finalized
+    values in ``aggs``.  Its one row context is rebound on each call,
+    which is safe because a plan runs on one connection's statement,
+    one execution at a time.
+    """
+
+    __slots__ = ("expr", "context", "agg_slots")
+
+    def __init__(
+        self,
+        expr: Expression,
+        columns: dict[str, int],
+        ambiguous: frozenset[str] = frozenset(),
+        agg_slots: Optional[dict[int, int]] = None,
+    ):
+        self.expr = expr
+        self.context = RowContext(columns, ambiguous)
+        self.agg_slots = agg_slots
+
+    def __call__(self, row: Sequence[Any], params: Sequence[Any], aggs) -> Any:
+        context = self.context.bind(row)
+        if self.agg_slots is None:
+            return evaluate(self.expr, context, params)
+        return _AggregateEvaluator(
+            context, params, self.agg_slots, aggs
+        ).eval(self.expr)
+
+
+class _OrdinalOutOfRange(_Interpreted):
+    """An ORDER BY position past the select list: it raises when a row
+    reaches it, so an empty result raises nothing."""
+
+    def __call__(self, row: Sequence[Any], params: Sequence[Any], aggs) -> Any:
+        raise ProgrammingError(f"ORDER BY position {self.expr.value} out of range")
+
+
+def _count_interpreted(*parts: Any) -> int:
+    """The :class:`_Interpreted` closures among ``parts``, looking into
+    lists, tuples and join/group plans."""
+    count = 0
+    for part in parts:
+        if isinstance(part, _Interpreted):
+            count += 1
+        elif isinstance(part, (list, tuple)):
+            count += _count_interpreted(*part)
+        elif isinstance(part, (JoinPlan, GroupPlan)):
+            count += _count_interpreted(*vars(part).values())
+    return count
 
 
 class _Layout:
@@ -2967,6 +2570,40 @@ def _apply_compound(
     raise NotSupportedError(f"unsupported compound operator {op}")
 
 
+def _replace_subqueries(expr: Optional[Expression], values) -> Optional[Expression]:
+    """``expr`` with each ``IN (SELECT ...)`` item replaced by the list
+    ``values(subquery)`` returns; ``expr`` itself when it holds none."""
+    if expr is None:
+        return None
+    if not any(isinstance(node, Subquery) for node in walk(expr)):
+        return expr
+    if isinstance(expr, InList) and any(
+        isinstance(item, Subquery) for item in expr.items
+    ):
+        items: list[Expression] = []
+        for item in expr.items:
+            if isinstance(item, Subquery):
+                items.extend(values(item))
+            else:
+                items.append(item)
+        return InList(
+            _replace_subqueries(expr.operand, values),  # type: ignore[arg-type]
+            items, expr.negated,
+        )
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(
+            expr.op,
+            _replace_subqueries(expr.left, values),  # type: ignore[arg-type]
+            _replace_subqueries(expr.right, values),  # type: ignore[arg-type]
+        )
+    from .ast_nodes import UnaryOp as _UnaryOp
+    if isinstance(expr, _UnaryOp):
+        return _UnaryOp(
+            expr.op, _replace_subqueries(expr.operand, values)  # type: ignore[arg-type]
+        )
+    return expr
+
+
 def _copy_select_with_where(stmt: Select, where: Optional[Expression]) -> Select:
     """Shallow copy of a Select with a different WHERE (cached statements
     must never be mutated)."""
@@ -3048,7 +2685,6 @@ def _resolve_group_expr(
 def _resolve_order_expr(
     expr: Expression,
     alias_map: dict[str, Expression],
-    values: tuple[Any, ...],
     columns: list[str],
 ) -> Any:
     """Resolve ORDER BY ordinals and select-list aliases.
@@ -3057,7 +2693,7 @@ def _resolve_order_expr(
     """
     if isinstance(expr, Literal) and isinstance(expr.value, int):
         ordinal = expr.value
-        if not 1 <= ordinal <= len(values):
+        if not 1 <= ordinal <= len(columns):
             raise ProgrammingError(f"ORDER BY position {ordinal} out of range")
         return ordinal - 1
     if isinstance(expr, ColumnRef) and expr.table is None:
@@ -3070,36 +2706,51 @@ def _resolve_order_expr(
     return expr
 
 
-def _order_key_for_row(
-    order_by: list[OrderItem],
-    context: RowContext,
-    params: Sequence[Any],
+def _order_spec(
+    order: OrderItem,
     alias_map: dict[str, Expression],
-    values: tuple[Any, ...],
     columns: list[str],
-) -> tuple:
-    key = []
-    for order in order_by:
-        resolved = _resolve_order_expr(order.expr, alias_map, values, columns)
-        if isinstance(resolved, int):
-            value = values[resolved]
-        else:
-            try:
-                value = evaluate(resolved, context, params)
-            except ProgrammingError:
-                # Fall back to a projected column with that name.
-                if isinstance(resolved, ColumnRef):
-                    lowered = [c.lower() for c in columns]
-                    name = resolved.name.lower()
-                    if name in lowered:
-                        value = values[lowered.index(name)]
-                    else:
-                        raise
-                else:
-                    raise
-        k = sort_key(value)
-        key.append(_Reversor(k) if order.descending else k)
-    return tuple(key)
+    section,
+    agg_slots: Optional[dict[int, int]] = None,
+) -> Any:
+    """One ORDER BY item's sort key: an int index into the projected
+    row, or ``section``'s closure for its expression."""
+    try:
+        resolved = _resolve_order_expr(order.expr, alias_map, columns)
+    except ProgrammingError:
+        return _OrdinalOutOfRange(order.expr, {})
+    return resolved if isinstance(resolved, int) else section(resolved, agg_slots)
+
+
+def _aggregate_calls(
+    stmt: Select, having: Optional[Expression]
+) -> list[FunctionCall]:
+    """The aggregate call sites of a grouped SELECT (select list,
+    alias-substituted HAVING, ORDER BY), deduplicated by identity in
+    walk order."""
+    calls: list[FunctionCall] = []
+    seen: set[int] = set()
+    targets = [item.expr for item in stmt.items]
+    if having is not None:
+        targets.append(having)
+    targets.extend(order.expr for order in stmt.order_by)
+    for target in targets:
+        for node in walk(target):
+            if is_aggregate_call(node) and id(node) not in seen:
+                seen.add(id(node))
+                calls.append(node)
+    return calls
+
+
+def _compact_resolution(
+    plan: SelectPlan, remap: dict[int, int]
+) -> dict[str, int]:
+    """The plan's name resolution, over the compacted row shape."""
+    return {
+        key: remap[position]
+        for key, position in plan.layout.resolution.items()
+        if position in remap
+    }
 
 
 def _order_projected(

@@ -171,7 +171,6 @@ class SnapshotManager:
         db = self.database
         snap = Database()
         snap.schema_version = db.schema_version
-        snap.compile_enabled = db.compile_enabled
         snap.columnar_default = db.columnar_default
         # Share the stats dict so snapshot-side access-path counters
         # surface through the primary connection's stats().

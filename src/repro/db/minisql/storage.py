@@ -1179,9 +1179,6 @@ class Database:
         #: one) bumps it; compiled plans are keyed on it, so a stale plan
         #: — compiled against old column offsets — can never be served.
         self.schema_version = 0
-        #: ``PRAGMA compile on/off`` switch for the query-compilation
-        #: layer; interpretation is always available as the fallback.
-        self.compile_enabled = True
         #: When True, newly created tables use columnar storage
         #: (``PRAGMA columnar(on/off)`` with no table name).
         self.columnar_default = False

@@ -168,14 +168,6 @@ class TestSaveTrialBulkParity:
         assert stats["bulk_index_rebuilds"] > 0
         s.close()
 
-    def test_location_rows_vectorised_matches_generator(self, columnar):
-        for m in range(columnar.num_metrics):
-            fast = columnar.location_rows(m)
-            slow = list(columnar.iter_location_rows(m))
-            assert len(fast) == len(slow)
-            for f, s in zip(fast, slow):
-                assert f == pytest.approx(s)
-
 
 class TestParseRetryAndErrors:
     """Coordinator-side resilience: a failed or timed-out worker parse is

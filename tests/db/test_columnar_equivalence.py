@@ -1,4 +1,4 @@
-"""Three-way differential harness: interpreter vs compiled vs columnar.
+"""Three-way differential harness: interpreted vs compiled vs columnar.
 
 The vectorized executor ships results only when a whole SELECT completes
 cleanly over the column vectors; anything else falls back to the row
@@ -14,21 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.db import minisql
+from tests.db.modes import MODES, connect as _connect
 from tests.test_differential_sql import CORPUS, PROBE_CORPUS, Err, _normalise
-
-#: Pragmas establishing each execution mode on a fresh connection.
-MODES = {
-    "interpreter": ("PRAGMA compile(off)",),
-    "compiled": ("PRAGMA compile(on)",),
-    "columnar": ("PRAGMA compile(on)", "PRAGMA columnar(on)"),
-}
-
-
-def _connect(mode: str):
-    conn = minisql.connect()
-    for pragma in MODES[mode]:
-        conn.execute(pragma)
-    return conn
 
 
 def _outcome(conn, sql, params):
@@ -108,7 +95,7 @@ class TestCorpusThreeWay:
             # mixed types don't break tuple ordering.
             for t in states[mode]:
                 states[mode][t] = sorted(states[mode][t], key=repr)
-        assert states["interpreter"] == states["compiled"] == states["columnar"]
+        assert states["interpreted"] == states["compiled"] == states["columnar"]
 
     def test_columnar_mode_actually_vectorizes(self, trio):
         """Guard against a vacuous pass: the columnar connection must
@@ -121,7 +108,7 @@ class TestCorpusThreeWay:
                 _outcome(conn, sql, params)
         stats = trio["columnar"].stats()
         assert stats["vector_selects"] > 0
-        assert trio["interpreter"].stats()["vector_selects"] == 0
+        assert trio["interpreted"].stats()["vector_selects"] == 0
         assert trio["compiled"].stats()["vector_selects"] == 0
 
 
@@ -156,7 +143,7 @@ class TestProbeGather:
             if "LIMIT" in sql:
                 assert d == {"vector_selects": 0, "index_eq_probes": 0,
                              "index_range_scans": 1}, sql
-        for mode in ("interpreter", "compiled"):
+        for mode in ("interpreted", "compiled"):
             assert all(
                 d["vector_selects"] == 0 for d in _replay(trio[mode]).values()
             )
@@ -237,7 +224,7 @@ class TestErrorTiming:
         outcomes = {
             mode: _outcome(conn, sql, ()) for mode, conn in trio.items()
         }
-        reference = outcomes["interpreter"]
+        reference = outcomes["interpreted"]
         assert reference[0].startswith("error@"), (
             f"expected an error case, got {reference!r}"
         )

@@ -4,7 +4,8 @@ The pragma is the only way storage mode changes at runtime, so its
 interactions are load-bearing: conversions must be rejected inside
 transactions and bulk loads, must preserve data and indexes, and the
 ``vectorized`` EXPLAIN column must faithfully report whether the
-vector pipeline can engage (never under ``PRAGMA compile(off)``).
+vector pipeline can engage (never for a statement with an interpreted
+section).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 from repro.core.schema import SchemaManager
 from repro.db import minisql
 from repro.db.api import connect as api_connect
+from tests.db import modes
 
 
 @pytest.fixture
@@ -133,16 +135,18 @@ class TestTransactionGuards:
 
 class TestVectorGating:
     def test_compile_off_never_vectorizes(self, populated):
+        """With compilation off (the interpreted mode), a statement with
+        an interpreted section has no vector plan."""
         populated.execute("PRAGMA columnar(t on)")
-        populated.execute("PRAGMA compile(off)")
+        interpreted = modes.connect("interpreted", populated._database)
         oracle = [(100, sum(float(i) for i in range(100)))]
-        assert populated.execute(
+        assert interpreted.execute(
             "SELECT count(*), sum(v) FROM t"
         ).fetchall() == [(100, pytest.approx(oracle[0][1]))]
-        stats = populated.stats()
+        stats = interpreted.stats()
         assert stats["vector_selects"] == 0
         assert stats["vector_fallbacks"] == 0
-        cursor = populated.execute("EXPLAIN SELECT sum(v) FROM t")
+        cursor = interpreted.execute("EXPLAIN SELECT sum(v) FROM t")
         assert all(row[3] == "no" for row in cursor.fetchall())
 
     def test_vectorized_select_counts(self, populated):

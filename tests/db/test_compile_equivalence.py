@@ -1,13 +1,15 @@
-"""Compiled-vs-interpreted equivalence for the MiniSQL query compiler.
+"""Interpreted-vs-compiled equivalence for MiniSQL's SELECT pipeline.
 
-PR 5's contract is that ``PRAGMA compile on`` (closure compilation,
-batched scans, projection pushdown) is an invisible optimisation: every
-statement must return row-for-row identical results to the interpreter.
-This module proves it three ways — replaying the full differential SQL
-corpus both ways on MiniSQL alone, hammering hostile strings / NULL /
-three-valued-logic expressions under both modes, and checking the
-observability surface (PRAGMA compile status, EXPLAIN's compiled
-column, the plan-cache stats counters).
+Every section of a plan is a closure: the compiler's where it lowers the
+section's expression, an interpreted one (``expr.evaluate``) where it
+does not.  Compilation must be an invisible optimisation: every
+statement returns row for row what the interpreted mode returns, and
+raises what it raises, when it raises it.  This module checks that by
+replaying the differential SQL corpus in both modes, by hostile strings
+/ NULL / three-valued-logic expressions and the outcomes of statements
+the compiler refuses in every mode, and through the observability
+surface (EXPLAIN's compiled column, the plan-cache and fallback
+counters).
 """
 
 import math
@@ -15,6 +17,8 @@ import math
 import pytest
 
 from repro.db import minisql
+from tests.db import modes
+from tests.db.test_columnar_equivalence import _outcome
 from tests.test_differential_sql import CORPUS, Err
 
 
@@ -38,10 +42,8 @@ class TestCorpusBothWays:
     """Fuzz-ish sweep: every differential-corpus statement, both modes."""
 
     def test_corpus_rows_identical(self):
-        compiled = minisql.connect()
-        interpreted = minisql.connect()
-        compiled.execute("PRAGMA compile(on)")
-        interpreted.execute("PRAGMA compile(off)")
+        compiled = modes.connect("compiled")
+        interpreted = modes.connect("interpreted")
         pair = (compiled, interpreted)
         for position, entry in enumerate(CORPUS):
             if isinstance(entry, Err):
@@ -80,11 +82,10 @@ class TestCorpusBothWays:
 
 
 class TestHostileExpressions:
-    """Hostile strings, NULLs and three-valued logic, both modes.
+    """Hostile strings, NULLs and three-valued logic, in every mode.
 
-    One connection, pragma toggled between the two runs of each query:
-    identical statement text, identical statement object, only the
-    execution path differs.
+    One connection per mode over identical rows: identical statement
+    text, only the execution path differs.
     """
 
     QUERIES = [
@@ -114,48 +115,107 @@ class TestHostileExpressions:
     ]
 
     @pytest.fixture
-    def conn(self):
-        c = minisql.connect()
-        c.execute("CREATE TABLE h (id INTEGER PRIMARY KEY, x TEXT, n INTEGER)")
-        c.executemany(
-            "INSERT INTO h (id, x, n) VALUES (?, ?, ?)",
-            [
-                (1, "O'Malley", 1),
-                (2, "100%", 2),
-                (3, "under_score", None),
-                (4, None, 3),
-                (5, "line\nbreak", 0),
-                (6, "Ω≠ascii", -1),
-                (7, "123", 123),   # numeric string: affinity coercion
-                (8, "", 1),
-            ],
-        )
-        yield c
-        c.close()
+    def conns(self):
+        conns = {mode: modes.connect(mode) for mode in modes.MODES}
+        for c in conns.values():
+            c.execute("CREATE TABLE h (id INTEGER PRIMARY KEY, x TEXT, n INTEGER)")
+            c.executemany(
+                "INSERT INTO h (id, x, n) VALUES (?, ?, ?)",
+                [
+                    (1, "O'Malley", 1),
+                    (2, "100%", 2),
+                    (3, "under_score", None),
+                    (4, None, 3),
+                    (5, "line\nbreak", 0),
+                    (6, "Ω≠ascii", -1),
+                    (7, "123", 123),   # numeric string: affinity coercion
+                    (8, "", 1),
+                ],
+            )
+        yield conns
+        for c in conns.values():
+            c.close()
 
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_same_rows_both_modes(self, conn, sql):
-        conn.execute("PRAGMA compile(on)")
-        compiled = conn.execute(sql).fetchall()
-        conn.execute("PRAGMA compile(off)")
-        interpreted = conn.execute(sql).fetchall()
-        assert _normalise(compiled) == _normalise(interpreted)
+    def test_same_rows_both_modes(self, conns, sql):
+        reference = _normalise(conns["interpreted"].execute(sql).fetchall())
+        for mode, c in conns.items():
+            assert _normalise(c.execute(sql).fetchall()) == reference, mode
 
-    def test_error_parity_bad_column_in_order_by(self, conn):
-        """Unknown ORDER BY column raises in both modes (rows exist)."""
-        for mode in ("on", "off"):
-            conn.execute(f"PRAGMA compile({mode})")
+    def test_error_parity_bad_column_in_order_by(self, conns):
+        """Unknown ORDER BY column raises in every mode (rows exist)."""
+        for c in conns.values():
             with pytest.raises(minisql.ProgrammingError):
-                conn.execute("SELECT x FROM h ORDER BY nope").fetchall()
+                c.execute("SELECT x FROM h ORDER BY nope").fetchall()
 
-    def test_error_parity_empty_table_bad_where_column(self, conn):
+    def test_error_parity_empty_table_bad_where_column(self, conns):
         """The interpreter only raises when a row binds; compiled
         execution must not turn that into an eager error."""
-        conn.execute("CREATE TABLE empty_t (a INTEGER)")
-        for mode in ("on", "off"):
-            conn.execute(f"PRAGMA compile({mode})")
-            rows = conn.execute("SELECT a FROM empty_t WHERE nope = 1").fetchall()
+        for c in conns.values():
+            c.execute("CREATE TABLE empty_t (a INTEGER)")
+            rows = c.execute("SELECT a FROM empty_t WHERE nope = 1").fetchall()
             assert rows == []
+
+
+#: Statements the compiler refuses, each with its outcome on one-row
+#: tables ``t (a, b) = (1, 2)`` and ``u (a) = (1)`` and on empty ones.
+#: Every mode must give exactly these: the error's phase, class and
+#: message, or the rows.
+PINNED = [
+    ("SELECT nosuchfn(a) FROM t",
+     ("error@execute", "ProgrammingError", "no such function: NOSUCHFN"),
+     ("rows", [])),
+    ("SELECT a FROM t JOIN u ON t.a = u.a",
+     ("error@execute", "ProgrammingError", "ambiguous column name: a"),
+     ("rows", [])),
+    ("SELECT t.a FROM t JOIN u ON t.a = u.a WHERE a > 0",
+     ("error@execute", "ProgrammingError", "ambiguous column name: a"),
+     ("rows", [])),
+    ("SELECT a IN (SELECT a FROM u) FROM t",
+     ("error@execute", "ProgrammingError",
+      "cannot evaluate expression node Subquery"),
+     ("rows", [])),
+    ("SELECT b FROM t ORDER BY 3",
+     ("error@execute", "ProgrammingError", "ORDER BY position 3 out of range"),
+     ("rows", [])),
+    ("SELECT count(*) FROM t GROUP BY 5",
+     ("error@execute", "ProgrammingError", "GROUP BY position 5 out of range"),
+     ("error@execute", "ProgrammingError", "GROUP BY position 5 out of range")),
+    ("SELECT b, count(*) FROM t GROUP BY b ORDER BY 7",
+     ("error@execute", "ProgrammingError", "ORDER BY position 7 out of range"),
+     ("rows", [])),
+    ("SELECT sum(sum(a)) FROM t",
+     ("error@execute", "ProgrammingError",
+      "misuse of aggregate function SUM() outside GROUP BY context"),
+     ("rows", [(None,)])),
+    ("SELECT a FROM t WHERE nope = 1",
+     ("error@execute", "ProgrammingError", "no such column: nope"),
+     ("rows", [])),
+    ("SELECT b FROM t ORDER BY nope",
+     ("error@execute", "ProgrammingError", "no such column: nope"),
+     ("rows", [])),
+]
+
+
+class TestPinnedOutcomes:
+    """Errors surface when a row reaches the section that raises them,
+    so the same statement raises over one row and not over none."""
+
+    @pytest.mark.parametrize("mode", list(modes.MODES))
+    @pytest.mark.parametrize("filled", [True, False], ids=["one-row", "empty"])
+    @pytest.mark.parametrize(
+        "sql, one_row, empty", PINNED, ids=[sql for sql, _, _ in PINNED]
+    )
+    def test_outcome(self, mode, filled, sql, one_row, empty):
+        conn = modes.connect(mode)
+        conn.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        conn.execute("CREATE TABLE u (a INTEGER)")
+        if filled:
+            conn.execute("INSERT INTO t VALUES (1, 2)")
+            conn.execute("INSERT INTO u VALUES (1)")
+            conn.commit()
+        assert _outcome(conn, sql, ()) == (one_row if filled else empty)
+        conn.close()
 
 
 class TestPragmaSurface:
@@ -167,24 +227,20 @@ class TestPragmaSurface:
         yield c
         c.close()
 
-    def test_status_reports_counters(self, conn):
-        conn.execute("SELECT a FROM t WHERE b > 0")
-        rows = dict(conn.execute("PRAGMA compile(status)").fetchall())
-        assert rows["enabled"] == 1
-        assert rows["plan_cache_misses"] >= 1
-        conn.execute("PRAGMA compile(off)")
-        rows = dict(conn.execute("PRAGMA compile(status)").fetchall())
-        assert rows["enabled"] == 0
-
-    def test_off_stops_compiling(self, conn):
-        conn.execute("PRAGMA compile(off)")
-        before = conn.stats()["plan_cache_misses"]
-        conn.execute("SELECT a FROM t WHERE b > 0").fetchall()
-        assert conn.stats()["plan_cache_misses"] == before
-
-    def test_bad_argument_raises(self, conn):
-        with pytest.raises(minisql.ProgrammingError):
-            conn.execute("PRAGMA compile(sideways)")
+    def test_compile_pragma_is_unknown(self, conn):
+        """There is no ``PRAGMA compile``: like any unknown pragma it
+        returns nothing and changes nothing, so a later SELECT still
+        builds a compiled plan."""
+        assert conn.execute("PRAGMA compile(off)").fetchall() == []
+        before = conn.stats()
+        assert conn.execute("SELECT a FROM t WHERE b > 0").fetchall() == [(1,), (3,)]
+        after = conn.stats()
+        assert after["plan_cache_misses"] == before["plan_cache_misses"] + 1
+        assert after["compile_fallbacks"] == before["compile_fallbacks"]
+        flags = [r[2] for r in conn.execute("EXPLAIN SELECT a FROM t WHERE b > 0")]
+        assert flags == ["yes"]
+        for argument in ("on", "status", "sideways"):
+            assert conn.execute(f"PRAGMA compile({argument})").fetchall() == []
 
     def test_fallback_counter_charges_interpreted_sections(self, conn):
         # Unknown functions raise per row in the interpreter, so the
@@ -231,9 +287,19 @@ class TestExplainCompiledColumn:
         assert flags["RESULT"] is None
 
     def test_compile_off_reports_no(self, conn):
-        conn.execute("PRAGMA compile(off)")
-        cursor = conn.execute("EXPLAIN SELECT a FROM t WHERE b > 1")
+        """With compilation off (the interpreted mode), every step of
+        the plan reads no."""
+        interpreted = modes.connect("interpreted", conn._database)
+        cursor = interpreted.execute("EXPLAIN SELECT a FROM t WHERE b > 1")
         assert all(row[2] == "no" for row in cursor.fetchall())
+        rows = interpreted.execute(
+            "EXPLAIN ANALYZE SELECT a FROM t WHERE b > 1 ORDER BY a"
+        ).fetchall()
+        flags = {row[1]: row[4] for row in rows}
+        assert flags == {
+            "SCAN t": "no", "WHERE filter": "no", "ORDER BY (sort)": "no",
+            "RESULT": None,
+        }
 
     def test_uncompilable_where_reports_no(self, conn):
         cursor = conn.execute(
@@ -241,3 +307,19 @@ class TestExplainCompiledColumn:
         )
         flags = {row[1]: row[4] for row in cursor.fetchall()}
         assert flags["WHERE filter"] == "no"
+
+    def test_subquery_statement_access_step_reads_as_run(self, conn):
+        """Execution runs a copy whose IN list holds the subquery's rows,
+        and every section of that copy compiles; the access step reports
+        that statement (the WHERE step describes the WHERE as written)."""
+        sql = "SELECT a FROM t WHERE a IN (SELECT a FROM u)"
+        assert conn.execute(f"EXPLAIN {sql}").fetchall() == [
+            (0, "SCAN t", "yes", "no"),
+        ]
+        before = conn.stats()["compile_fallbacks"]
+        assert conn.execute(sql).fetchall() == [(1,), (3,)]
+        assert conn.stats()["compile_fallbacks"] == before
+        refused = conn.execute(
+            "EXPLAIN SELECT nosuchfn(a) FROM t WHERE a IN (SELECT a FROM u)"
+        )
+        assert [row[2] for row in refused] == ["no"]

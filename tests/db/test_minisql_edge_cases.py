@@ -3,22 +3,17 @@
 import pytest
 
 from repro.db import minisql
+from tests.db import modes
 
 
 @pytest.fixture(
-    params=["on", "off", "columnar"],
-    ids=["compile-on", "compile-off", "columnar"],
+    params=list(modes.MODES),
+    ids=modes.ids(compiled="compile-on", interpreted="compile-off"),
 )
 def conn(request):
-    """Every edge case runs under the query compiler, the interpreter,
-    and columnar storage with vectorized execution — the three paths
-    must be indistinguishable."""
-    c = minisql.connect()
-    if request.param == "columnar":
-        c.execute("PRAGMA compile(on)")
-        c.execute("PRAGMA columnar(on)")  # new tables default to columnar
-    else:
-        c.execute(f"PRAGMA compile({request.param})")
+    """Every edge case runs in each execution mode — the modes must be
+    indistinguishable."""
+    c = modes.connect(request.param)
     yield c
     c.close()
 
@@ -164,6 +159,15 @@ class TestAggregateEdgeCases:
         assert conn.execute(
             "SELECT max(a) - min(a), sum(a) / count(a) FROM e"
         ).fetchone() == (2, 3)
+
+    def test_scalar_max_in_grouped_select(self, conn):
+        """Two-argument max() is a scalar function, also in the select
+        list of a grouped query (as in sqlite)."""
+        conn.execute("CREATE TABLE s (a INTEGER, b INTEGER)")
+        conn.execute("INSERT INTO s VALUES (1, 5), (2, 1)")
+        assert conn.execute(
+            "SELECT max(a, b), count(*) FROM s GROUP BY a ORDER BY a"
+        ).fetchall() == [(5, 1), (2, 1)]
 
     def test_group_concat(self, conn):
         conn.execute("CREATE TABLE c (k TEXT, v TEXT)")

@@ -13,7 +13,7 @@ import sqlite3
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db import minisql
+from tests.db import modes
 
 # Values that survive a round trip through both engines.
 _values = st.one_of(
@@ -37,19 +37,18 @@ _rows = st.lists(
 )
 
 
-#: MiniSQL execution modes every property must hold under: the pure
-#: interpreter, compiled row closures, and columnar vectorized batches.
-MODES = ["interpreter", "compiled", "columnar"]
+#: Every property must hold in every MiniSQL execution mode (the test
+#: ids keep this suite's name, "interpreter", for the interpreted one).
+over_modes = pytest.mark.parametrize(
+    "mode", list(modes.MODES),
+    ids=modes.ids(interpreted="interpreter"),
+)
 
 
 def _both(rows, mode="compiled"):
     """Load identical data into a fresh pair of engines."""
-    ms = minisql.connect()
+    ms = modes.connect(mode)
     sq = sqlite3.connect(":memory:")
-    if mode == "interpreter":
-        ms.execute("PRAGMA compile(off)")
-    elif mode == "columnar":
-        ms.execute("PRAGMA columnar(on)")  # new tables default to columnar
     ddl = "CREATE TABLE t (k INTEGER, v REAL, x TEXT)"
     ms.execute(ddl)
     sq.execute(ddl)
@@ -105,7 +104,7 @@ QUERIES = [
 
 @settings(max_examples=40, deadline=None)
 @given(rows=_rows)
-@pytest.mark.parametrize("mode", MODES)
+@over_modes
 @pytest.mark.parametrize("sql", QUERIES)
 def test_engines_agree(sql, mode, rows):
     ms, sq = _both(rows, mode)
@@ -118,7 +117,7 @@ def test_engines_agree(sql, mode, rows):
 
 @settings(max_examples=30, deadline=None)
 @given(rows=_rows, threshold=st.floats(min_value=-10, max_value=10))
-@pytest.mark.parametrize("mode", MODES)
+@over_modes
 def test_parameterised_filter_agrees(mode, rows, threshold):
     ms, sq = _both(rows, mode)
     try:
@@ -134,7 +133,7 @@ def test_parameterised_filter_agrees(mode, rows, threshold):
 
 @settings(max_examples=30, deadline=None)
 @given(rows=_rows)
-@pytest.mark.parametrize("mode", MODES)
+@over_modes
 def test_avg_agrees_within_float_noise(mode, rows):
     ms, sq = _both(rows, mode)
     try:
@@ -151,7 +150,7 @@ def test_avg_agrees_within_float_noise(mode, rows):
 
 @settings(max_examples=25, deadline=None)
 @given(rows=_rows)
-@pytest.mark.parametrize("mode", MODES)
+@over_modes
 def test_update_then_state_agrees(mode, rows):
     ms, sq = _both(rows, mode)
     try:
@@ -166,7 +165,7 @@ def test_update_then_state_agrees(mode, rows):
 
 @settings(max_examples=25, deadline=None)
 @given(rows=_rows)
-@pytest.mark.parametrize("mode", MODES)
+@over_modes
 def test_join_agrees(mode, rows):
     ms, sq = _both(rows, mode)
     try:
@@ -205,7 +204,7 @@ QUERIES_EXTENDED = [
 
 @settings(max_examples=25, deadline=None)
 @given(rows=_rows)
-@pytest.mark.parametrize("mode", MODES)
+@over_modes
 @pytest.mark.parametrize("sql", QUERIES_EXTENDED)
 def test_engines_agree_extended(sql, mode, rows):
     ms, sq = _both(rows, mode)
@@ -218,7 +217,7 @@ def test_engines_agree_extended(sql, mode, rows):
 
 @settings(max_examples=20, deadline=None)
 @given(rows=_rows, low=st.integers(0, 5), high=st.integers(4, 9))
-@pytest.mark.parametrize("mode", MODES)
+@over_modes
 def test_between_with_params_agrees(mode, rows, low, high):
     ms, sq = _both(rows, mode)
     try:

@@ -18,6 +18,7 @@ import math
 import pytest
 
 from repro.db.api import IntegrityError, connect
+from tests.db import modes
 
 # Each entry is (sql, params).  SELECTs are compared row-for-row;
 # statements wrapped in Err(...) must raise IntegrityError on BOTH
@@ -290,20 +291,14 @@ def _normalise(rows):
 
 
 @pytest.fixture(
-    params=["on", "off", "columnar"],
-    ids=["compile-on", "compile-off", "columnar"],
+    params=list(modes.MODES),
+    ids=modes.ids(compiled="compile-on", interpreted="compile-off"),
 )
 def backends(request):
-    """Backend pair, run with MiniSQL's query compiler, on the pure
-    interpreter, and with columnar storage plus vectorized execution —
-    the corpus must pass identically every way."""
+    """Backend pair, with MiniSQL in each execution mode — the corpus
+    must pass identically every way."""
     sqlite_conn = connect("sqlite://:memory:")
-    minisql_conn = connect("minisql://:memory:")
-    if request.param == "columnar":
-        minisql_conn.execute("PRAGMA compile(on)")
-        minisql_conn.execute("PRAGMA columnar(on)")
-    else:
-        minisql_conn.execute(f"PRAGMA compile({request.param})")
+    minisql_conn = modes.enter(connect("minisql://:memory:"), request.param)
     yield sqlite_conn, minisql_conn
     sqlite_conn.close()
     minisql_conn.close()
