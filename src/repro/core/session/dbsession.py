@@ -554,10 +554,10 @@ class PerfDMFSession(DataSession):
             event = source.add_interval_event(name, group_name or "TAU_DEFAULT")
             event.db_id = db_id
             event_index[db_id] = event
-        location_rows = self._read_location_rows(metric_index)
-        for metric_id, rows in zip(metric_index, location_rows):
+        location_columns = self._read_location_rows(metric_index)
+        for metric_id, columns in zip(metric_index, location_columns):
             m = metric_index[metric_id]
-            for event_id, node, ctx, thr, inc, exc, calls, subrs in rows:
+            for event_id, node, ctx, thr, inc, exc, calls, subrs in zip(*columns):
                 thread = source.add_thread(node, ctx, thr)
                 profile = thread.get_or_create_function_profile(event_index[event_id])
                 profile.set_inclusive(m, inc)
@@ -595,9 +595,11 @@ class PerfDMFSession(DataSession):
         """Materialise a stored trial as a :class:`ColumnarTrial`.
 
         The vectorised twin of :meth:`load_datasource`, read through
-        the same per-metric probes: rows land directly in numpy arrays
-        instead of per-profile objects, which is far faster and smaller
-        at the paper's 1.6M-data-point scale.  Threads and events keep
+        the same per-metric probes, as columns: numpy assembles the
+        arrays (events placed by ``searchsorted``, threads numbered by
+        one ``unique`` over every metric's rows) with no per-row Python
+        and no per-profile objects, which is far faster and smaller at
+        the paper's 1.6M-data-point scale.  Threads and events keep
         :meth:`load_datasource`'s order (threads as they first appear,
         events by id), so per-thread vectors line up with its objects.
         PerfExplorer's analyses consume this form.
@@ -619,41 +621,49 @@ class PerfDMFSession(DataSession):
             ) == 0:
                 raise LookupError(f"no trial id {trial_id} in this database")
             raise ValueError(f"trial {trial_id} has no stored profile data")
-        event_pos = {db_id: i for i, (db_id, _n, _g) in enumerate(event_rows)}
-        thread_pos: dict[tuple, int] = {}
-        blocks = []
-        for rows in self._read_location_rows([r[0] for r in metric_rows]):
-            t_index = [thread_pos.setdefault(r[1:4], len(thread_pos)) for r in rows]
-            e_index = [event_pos[r[0]] for r in rows]
-            values = np.asarray(rows, dtype=np.float64).reshape(-1, 8)
-            blocks.append((t_index, e_index, values))
+        blocks = list(self._read_location_rows([r[0] for r in metric_rows]))
+        ids, nodes, contexts, threads = (
+            np.concatenate([np.asarray(b[i], dtype=np.int64) for b in blocks])
+            for i in range(4)
+        )
+        t_index, triples = _thread_index(nodes, contexts, threads)
+        e_index = _event_positions(
+            np.array([r[0] for r in event_rows], dtype=np.int64), ids
+        )
         columnar = ColumnarTrial.allocate(
             event_names=[r[1] for r in event_rows],
             metric_names=[r[1] for r in metric_rows],
-            thread_triples=list(thread_pos),
+            # As Python ints, which allocate's int32 cast refuses beyond
+            # range instead of wrapping.
+            thread_triples=triples.tolist(),
             event_groups=[r[2] or "TAU_DEFAULT" for r in event_rows],
         )
-        for m, (t_index, e_index, values) in enumerate(blocks):
-            columnar.inclusive[m][t_index, e_index] = values[:, 4]
-            columnar.exclusive[m][t_index, e_index] = values[:, 5]
+        stop = 0
+        for m, (_e, _n, _c, _t, inc, exc, calls, subrs) in enumerate(blocks):
+            start, stop = stop, stop + len(inc)
+            at = (t_index[start:stop], e_index[start:stop])
+            columnar.inclusive[m][at] = np.asarray(inc, dtype=np.float64)
+            columnar.exclusive[m][at] = np.asarray(exc, dtype=np.float64)
             if m == 0:
-                columnar.calls[t_index, e_index] = values[:, 6]
-                columnar.subroutines[t_index, e_index] = values[:, 7]
+                columnar.calls[at] = np.asarray(calls, dtype=np.float64)
+                columnar.subroutines[at] = np.asarray(subrs, dtype=np.float64)
         return columnar
 
-    def _read_location_rows(self, metric_ids: Iterable[int]) -> Iterator[list[tuple]]:
+    def _read_location_rows(
+        self, metric_ids: Iterable[int]
+    ) -> Iterator[list[Sequence[Any]]]:
         """Each metric's interval_location_profile rows, one probe each.
 
         A metric id belongs to exactly one trial, so ``WHERE metric = ?``
         reads exactly that trial's rows through ``idx_ilp_metric``: no
         JOIN against interval_event and no scan of other trials' rows.
         Rows come metric by metric, each in rowid (insertion) order —
-        the order a scan of the whole table meets a trial's rows in.
-        Row shape: (event id, node, context, thread, inclusive,
-        exclusive, calls, subroutines).
+        the order a scan of the whole table meets a trial's rows in —
+        as columns (:meth:`DBConnection.query_columns`): event id, node,
+        context, thread, inclusive, exclusive, calls, subroutines.
         """
         for metric_id in metric_ids:
-            yield self.connection.query(
+            yield self.connection.query_columns(
                 "SELECT interval_event, node, context, thread, inclusive, "
                 "exclusive, num_calls, num_subrs "
                 "FROM interval_location_profile WHERE metric = ?",
@@ -756,6 +766,42 @@ class PerfDMFSession(DataSession):
         )
         conn.commit()
         return metric_id
+
+
+def _event_positions(event_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Each of ``ids``' position in the ascending ``event_ids``; an id
+    not among them (a row of another trial's event) raises KeyError."""
+    positions = np.searchsorted(event_ids, ids)
+    found = event_ids[np.minimum(positions, len(event_ids) - 1)] == ids
+    if not found.all():
+        raise KeyError(int(ids[np.argmin(found)]))
+    return positions
+
+
+def _thread_index(
+    nodes: np.ndarray, contexts: np.ndarray, threads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Number each row's (node, context, thread) triple by the triple's
+    first appearance; returns the per-row numbers and the distinct
+    triples in that order."""
+    triples = np.column_stack((nodes, contexts, threads))
+    if not len(triples):
+        return np.zeros(0, dtype=np.intp), triples
+    low = triples.min(axis=0)
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(low, triples.max(axis=0))]
+    if spans[0] * spans[1] * spans[2] <= np.iinfo(np.int64).max:
+        # One int64 key per triple: a 1-D unique is ~7x faster.
+        shifted = triples - low
+        keys = (shifted[:, 0] * spans[1] + shifted[:, 1]) * spans[2] + shifted[:, 2]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(
+            triples, axis=0, return_index=True, return_inverse=True
+        )
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse.reshape(-1)], triples[first[order]]
 
 
 def _location_rows(

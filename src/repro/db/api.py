@@ -182,6 +182,25 @@ class DBConnection:
         """Execute and fetch all rows."""
         return self.execute(sql, params).fetchall()
 
+    def query_columns(
+        self, sql: str, params: Sequence[Any] = ()
+    ) -> list[Sequence[Any]]:
+        """Execute and fetch all rows as one sequence per result column.
+
+        Holds the same values as :meth:`query`, transposed.  On MiniSQL
+        a vectorized SELECT's columns arrive without ever being rows: a
+        typed column read by one contiguous index probe is an
+        ``array.array``, which numpy takes without unboxing.  An empty
+        result has one empty sequence per column.
+        """
+        cursor = self.execute(sql, params)
+        if self.backend == "minisql":
+            return cursor.fetchcolumns()
+        rows = cursor.fetchall()
+        if rows:
+            return [list(column) for column in zip(*rows)]
+        return [[] for _ in cursor.description or ()]
+
     def query_one(self, sql: str, params: Sequence[Any] = ()) -> Optional[tuple]:
         return self.execute(sql, params).fetchone()
 

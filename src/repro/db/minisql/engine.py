@@ -3,7 +3,8 @@
 ``connect()`` returns a :class:`Connection` whose cursors behave like
 sqlite3 cursors: ``execute(sql, params)``, ``executemany``,
 ``fetchone/fetchmany/fetchall``, ``description``, ``lastrowid``,
-``rowcount``, iteration.  Parsed statements are cached by SQL text so
+``rowcount``, iteration; ``fetchcolumns`` returns a result column by
+column.  Parsed statements are cached by SQL text so
 ``executemany`` and repeated prepared statements skip the parser — the
 difference is ~20x on PerfDMF's bulk-insert path.
 
@@ -39,6 +40,10 @@ from .storage import Database
 _slow_log = get_logger("repro.db.minisql")
 
 _snapshot_reads = _metrics_registry.counter("minisql.snapshot.reads")
+
+#: What a cursor holds before its first statement and after its rows
+#: were handed out as columns.
+_NO_ROWS = ResultSet([], [])
 
 apilevel = "2.0"
 threadsafety = 1
@@ -422,7 +427,7 @@ class Cursor:
 
     def __init__(self, connection: Connection):
         self.connection = connection
-        self._rows: list[tuple[Any, ...]] = []
+        self._result = _NO_ROWS
         self._cursor_index = 0
         self.description: Optional[list[tuple]] = None
         self.rowcount = -1
@@ -506,7 +511,7 @@ class Cursor:
         return self
 
     def _install(self, result: ResultSet) -> None:
-        self._rows = result.rows
+        self._result = result
         self._cursor_index = 0
         self.rowcount = result.rowcount
         if result.lastrowid is not None:
@@ -522,9 +527,10 @@ class Cursor:
 
     def fetchone(self) -> Optional[tuple[Any, ...]]:
         self._check_open()
-        if self._cursor_index >= len(self._rows):
+        rows = self._result.rows
+        if self._cursor_index >= len(rows):
             return None
-        row = self._rows[self._cursor_index]
+        row = rows[self._cursor_index]
         self._cursor_index += 1
         return row
 
@@ -532,15 +538,34 @@ class Cursor:
         self._check_open()
         if size is None:
             size = self.arraysize
-        chunk = self._rows[self._cursor_index : self._cursor_index + size]
+        chunk = self._result.rows[self._cursor_index : self._cursor_index + size]
         self._cursor_index += len(chunk)
         return list(chunk)
 
     def fetchall(self) -> list[tuple[Any, ...]]:
         self._check_open()
-        chunk = self._rows[self._cursor_index :]
-        self._cursor_index = len(self._rows)
+        rows = self._result.rows
+        chunk = rows[self._cursor_index :]
+        self._cursor_index = len(rows)
         return list(chunk)
+
+    def fetchcolumns(self) -> list[Sequence[Any]]:
+        """The remaining rows as one sequence per result column.
+
+        The vector plan's output columns (a single-table SELECT on a
+        columnar table, with no sorting ORDER BY, DISTINCT, LIMIT or
+        compound operator after it) come back as they are, never zipped
+        into row tuples; any other result is transposed from its rows.
+        """
+        self._check_open()
+        columns = self._result.column_values
+        if columns is not None:  # no row of it has been fetched
+            self._result = _NO_ROWS
+            return columns
+        rows = self.fetchall()
+        if rows:
+            return [list(column) for column in zip(*rows)]
+        return [[] for _ in self.description or ()]
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
         while True:
@@ -551,7 +576,7 @@ class Cursor:
 
     def close(self) -> None:
         self._closed = True
-        self._rows = []
+        self._result = _NO_ROWS
 
     def _check_open(self) -> None:
         if self._closed:

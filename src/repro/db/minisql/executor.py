@@ -66,14 +66,55 @@ _VECTOR_FALLBACKS = _metrics.counter("minisql.columnar.vector_fallbacks")
 _COLUMNAR_CONVERSIONS = _metrics.counter("minisql.columnar.conversions")
 
 
-@dataclass
-class ResultSet:
-    """Execution result: column names plus row tuples (possibly empty)."""
+class ResultColumns:
+    """A vector plan's rows, held as one sequence per result column.
 
-    columns: list[str]
-    rows: list[tuple[Any, ...]]
-    rowcount: int = -1
-    lastrowid: Optional[int] = None
+    Iterating yields the row tuples; :attr:`ResultSet.column_values`
+    hands the columns out without building them.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: list[Sequence[Any]]):
+        self.values = values
+
+    def __iter__(self) -> Iterator[tuple[Any, ...]]:
+        return zip(*self.values)
+
+
+class ResultSet:
+    """Execution result: column names plus row tuples (possibly empty).
+
+    ``rows`` may be given as :class:`ResultColumns`; they are zipped into
+    tuples the first time :attr:`rows` is read.
+    """
+
+    __slots__ = ("columns", "_rows", "rowcount", "lastrowid")
+
+    def __init__(
+        self,
+        columns: list[str],
+        rows: list[tuple[Any, ...]] | ResultColumns,
+        rowcount: int = -1,
+        lastrowid: Optional[int] = None,
+    ):
+        self.columns = columns
+        self._rows = rows
+        self.rowcount = rowcount
+        self.lastrowid = lastrowid
+
+    @property
+    def rows(self) -> list[tuple[Any, ...]]:
+        if type(self._rows) is ResultColumns:
+            self._rows = list(self._rows)
+        return self._rows
+
+    @property
+    def column_values(self) -> Optional[list[Sequence[Any]]]:
+        """The columns of rows that arrived as :class:`ResultColumns` and
+        were never read as rows; None otherwise."""
+        rows = self._rows
+        return rows.values if type(rows) is ResultColumns else None
 
 
 class _AnalyzeProbe:
@@ -243,7 +284,8 @@ class Executor:
             steps.append((
                 plan.describe(table), "scan",
                 "yes" if runs is not None and not runs.fallbacks else "no",
-                vflag(vector is not None),
+                "yes" if runs is not None and runs.vector is not None
+                and not plan.ordered else "no",
             ))
             layout = _Layout.build(self.database, inner)
             offset = len(table.columns)
@@ -881,7 +923,10 @@ class Executor:
 
     def _execute_select(
         self, stmt: Select, params: Sequence[Any]
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
+    ) -> tuple[list[str], list[tuple[Any, ...]] | ResultColumns]:
+        """Column names and rows; a vector plan's rows stay
+        :class:`ResultColumns` unless DISTINCT, LIMIT or a compound
+        operator has to read them as rows."""
         columns, rows = self._execute_select_core(stmt, params)
         node = stmt
         while node.compound is not None:
@@ -928,7 +973,7 @@ class Executor:
 
     def _execute_select_core(
         self, stmt: Select, params: Sequence[Any]
-    ) -> tuple[list[str], list[tuple[Any, ...]]]:
+    ) -> tuple[list[str], list[tuple[Any, ...]] | ResultColumns]:
         if stmt.where is not None:
             rewritten = self._materialize_subqueries(stmt.where, params)
             if rewritten is not stmt.where:
@@ -1485,7 +1530,7 @@ class Executor:
     def _vector_select(
         self, stmt: Select, plan: SelectPlan, table: Table,
         params: Sequence[Any], slots: Optional[Sequence[int]] = None,
-    ) -> Optional[list[tuple[Any, ...]]]:
+    ) -> Optional[list[tuple[Any, ...]] | ResultColumns]:
         """Run the vector plan over every live row, or over ``slots``
         when an index probe selected them, or return None to fall back
         (atomic contract: impure column, empty relation, or any
@@ -1521,9 +1566,11 @@ class Executor:
         self, stmt: Select, plan: SelectPlan, vp: VectorPlan,
         cols: list, n: int, sel: Optional[list[int]],
         params: Sequence[Any],
-    ) -> list[tuple[Any, ...]]:
+    ) -> list[tuple[Any, ...]] | ResultColumns:
+        """The projected rows: as the output columns themselves, unless
+        an ORDER BY sorts them."""
         n_sel = n if sel is None else len(sel)
-        out_cols: list[list[Any]] = []
+        out_cols: list[Sequence[Any]] = []
         for e in vp.items:
             if type(e) is int:
                 full = cols[e]
@@ -1534,30 +1581,27 @@ class Executor:
                     continue
                 full = V
             out_cols.append(full if sel is None else [full[i] for i in sel])
+        if vp.order is None or stmt.compound is not None or not n_sel:
+            return ResultColumns(out_cols)
         projected = list(zip(*out_cols))
-        needs_order = (
-            vp.order is not None and stmt.compound is None and n_sel
+        key_cols: list[list[Any]] = []
+        for spec, descending in vp.order:
+            if type(spec) is int:
+                vals = out_cols[spec]
+            else:
+                V = spec(cols, n, params)
+                if type(V) is _VS:
+                    vals = [V.value] * n_sel
+                else:
+                    vals = V if sel is None else [V[i] for i in sel]
+            if descending:
+                key_cols.append([_Reversor(sort_key(v)) for v in vals])
+            else:
+                key_cols.append([sort_key(v) for v in vals])
+        paired = sorted(
+            zip(zip(*key_cols), range(n_sel)), key=lambda p: p[0]
         )
-        if needs_order:
-            key_cols: list[list[Any]] = []
-            for spec, descending in vp.order:
-                if type(spec) is int:
-                    vals = out_cols[spec]
-                else:
-                    V = spec(cols, n, params)
-                    if type(V) is _VS:
-                        vals = [V.value] * n_sel
-                    else:
-                        vals = V if sel is None else [V[i] for i in sel]
-                if descending:
-                    key_cols.append([_Reversor(sort_key(v)) for v in vals])
-                else:
-                    key_cols.append([sort_key(v) for v in vals])
-            paired = sorted(
-                zip(zip(*key_cols), range(n_sel)), key=lambda p: p[0]
-            )
-            projected = [projected[i] for _, i in paired]
-        return projected
+        return [projected[i] for _, i in paired]
 
     def _vector_agg(
         self, plan: SelectPlan, vp: VectorPlan, cols: list, n: int,
@@ -1645,7 +1689,7 @@ class Executor:
 
     def _compact_select(
         self, stmt: Select, plan: SelectPlan, params: Sequence[Any]
-    ) -> Optional[list[tuple[Any, ...]]]:
+    ) -> Optional[list[tuple[Any, ...]] | ResultColumns]:
         """Batched scan → filter → project/aggregate over compacted rows.
 
         Runs when the access planner picks a full scan; an index access
@@ -1701,7 +1745,7 @@ class Executor:
     def _vector_probe(
         self, stmt: Select, plan: SelectPlan, table: Table,
         access: "_AccessPlan", params: Sequence[Any],
-    ) -> Optional[list[tuple[Any, ...]]]:
+    ) -> Optional[list[tuple[Any, ...]] | ResultColumns]:
         """The vector plan over the slots an index probe selects.
 
         Takes a hash ``eq`` probe or an unordered btree ``range``, in
@@ -2785,10 +2829,11 @@ def _order_projected(
 
 
 def _apply_limit(
-    rows: list[tuple[Any, ...]], stmt: Select, params: Sequence[Any]
-) -> list[tuple[Any, ...]]:
+    rows: list[tuple[Any, ...]] | ResultColumns, stmt: Select,
+    params: Sequence[Any],
+) -> list[tuple[Any, ...]] | ResultColumns:
     if stmt.limit is None:
-        return rows if isinstance(rows, list) else list(rows)
+        return rows
     limit = evaluate(stmt.limit, None, params)
     offset = evaluate(stmt.offset, None, params) if stmt.offset is not None else 0
     if limit is None:

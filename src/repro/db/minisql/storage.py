@@ -816,10 +816,20 @@ class ColumnData:
             return
         self.exc[slot] = value
 
-    def gather(self, slots: Sequence[int]) -> list[Any]:
-        """The values at ``slots``, in that order, as a fresh list — the
-        index-probe twin of :meth:`materialize`."""
+    def gather(self, slots: Sequence[int]) -> Sequence[Any]:
+        """The values at ``slots``, in that order, as a fresh sequence —
+        the index-probe twin of :meth:`materialize`.
+
+        A ``range`` (one ascending run, see :meth:`ColumnTable.slots_of`)
+        is sliced unless the column has escape-hatch values or a NULL in
+        the run: a typed column gives an ``array`` copy, which numpy
+        reads unboxed, a TEXT or untyped column a list (those two keep
+        neither escape hatch nor NULL map)."""
         data = self.data
+        if type(slots) is range and not self.exc and (
+            not self.null_count or self.nulls.find(1, slots.start, slots.stop) < 0
+        ):
+            return data[slots.start:slots.stop]
         out = [data[s] for s in slots]
         if self.kind in ("t", "o"):
             return out
@@ -1019,11 +1029,19 @@ class ColumnTable(Table):
     def column_pure(self, position: int) -> bool:
         return self._cols[position].pure
 
-    def slots_of(self, rowids: Iterable[int]) -> list[int]:
-        """The slots holding ``rowids``, in the same order."""
-        return list(map(self._slot_of.__getitem__, rowids))
+    def slots_of(self, rowids: Iterable[int]) -> Sequence[int]:
+        """The slots holding ``rowids``, in the same order: a ``range``
+        when they form one ascending run (a trial's rows appended in one
+        bulk load), so that every column is sliced instead of gathered
+        slot by slot; a list otherwise."""
+        slots = list(map(self._slot_of.__getitem__, rowids))
+        if slots:
+            run = range(slots[0], slots[-1] + 1)
+            if len(run) == len(slots) and slots == list(run):
+                return run
+        return slots
 
-    def column_gather(self, position: int, slots: Sequence[int]) -> list[Any]:
+    def column_gather(self, position: int, slots: Sequence[int]) -> Sequence[Any]:
         """One column's values at ``slots`` (see :meth:`slots_of`)."""
         return self._cols[position].gather(slots)
 

@@ -237,3 +237,196 @@ class TestPerMetricProbe:
         after = session.connection.stats()
         assert after["full_scans"] == before["full_scans"]
         assert after["vector_selects"] > before["vector_selects"]
+
+
+def store_trial(session, experiment, name, metrics, events, rows):
+    """A trial whose interval_location_profile rows are ``rows``, stored
+    one INSERT each in the given order.  A row is (event position,
+    (node, context, thread), metric position, inclusive, exclusive,
+    calls, subroutines); returns the trial id, its metric ids and its
+    event ids."""
+    from repro.core.api.entities import Trial
+
+    trial = Trial(session.connection, name=name, experiment=experiment.id)
+    trial.save()
+    conn = session.connection
+    metric_ids = [
+        conn.insert(
+            "INSERT INTO metric (trial, name, derived) VALUES (?, ?, 0)",
+            (trial.id, metric),
+        )
+        for metric in metrics
+    ]
+    event_ids = [
+        conn.insert(
+            "INSERT INTO interval_event (trial, name, group_name) VALUES (?, ?, ?)",
+            (trial.id, event, "TAU_DEFAULT"),
+        )
+        for event in events
+    ]
+    insert_rows(conn, rows, event_ids, metric_ids)
+    return trial.id, metric_ids, event_ids
+
+
+def insert_rows(conn, rows, event_ids, metric_ids):
+    for e, (node, ctx, thr), m, inc, exc, calls, subrs in rows:
+        conn.execute(
+            "INSERT INTO interval_location_profile (interval_event, node, "
+            "context, thread, metric, inclusive, inclusive_percentage, "
+            "exclusive, exclusive_percentage, inclusive_per_call, num_calls, "
+            "num_subrs) VALUES (?, ?, ?, ?, ?, ?, 0.0, ?, 0.0, 0.0, ?, ?)",
+            (event_ids[e], node, ctx, thr, metric_ids[m], inc, exc, calls, subrs),
+        )
+    conn.commit()
+
+
+def cell_rows(threads, metrics, events=2, start=0.0):
+    """One row per (thread, event, metric) with distinct values."""
+    return [
+        (e, triple, m, start + 100 * t + 10 * e + m + 0.5,
+         start + 100 * t + 10 * e + m + 0.25, float(t + e + 1), float(e))
+        for t, triple in enumerate(threads)
+        for e in range(events)
+        for m in metrics
+    ]
+
+
+def assert_loads_like_reference(session, trial_id):
+    loaded = session.load_columnar(trial_id)
+    expected = ColumnarTrial.from_datasource(reference_datasource(session, trial_id))
+    assert loaded.event_names == expected.event_names
+    assert loaded.metric_names == expected.metric_names
+    assert loaded.thread_triples.tolist() == expected.thread_triples.tolist()
+    for m in range(expected.num_metrics):
+        assert np.array_equal(loaded.inclusive[m], expected.inclusive[m])
+        assert np.array_equal(loaded.exclusive[m], expected.exclusive[m])
+    assert np.array_equal(loaded.calls, expected.calls)
+    assert np.array_equal(loaded.subroutines, expected.subroutines)
+    return loaded
+
+
+def probe_is_scattered(session, metric_id) -> bool:
+    """True when MiniSQL's probe of ``metric_id`` could not slice a run
+    of slots (its typed columns arrive as lists, not arrays)."""
+    columns = session.connection.query_columns(
+        "SELECT interval_event, inclusive FROM interval_location_profile "
+        "WHERE metric = ?", (metric_id,),
+    )
+    return all(type(c) is list for c in columns)
+
+
+THREADS = [(1, 0, 0), (0, 0, 1), (0, 0, 0), (2, 1, 3)]
+
+
+class TestLocationRowLayouts:
+    """``load_columnar`` assembles its arrays with numpy; whatever order
+    and layout the location rows are stored in, it must equal the
+    whole-table JOIN's reading of them."""
+
+    @pytest.fixture
+    def experiment(self, session):
+        app = session.create_application("layouts")
+        return session.create_experiment(app, "x")
+
+    def test_interleaved_metrics(self, session, experiment):
+        trial_id, metric_ids, _ = store_trial(
+            session, experiment, "interleaved", ["TIME", "PAPI_FP_OPS"],
+            ["main", "work"], cell_rows(THREADS, metrics=[0, 1]),
+        )
+        assert_loads_like_reference(session, trial_id)
+        if session.connection.backend == "minisql":
+            assert probe_is_scattered(session, metric_ids[0])
+
+    def test_deleted_trial_in_between(self, session, experiment):
+        first = cell_rows(THREADS[:2], metrics=[0])
+        second = cell_rows(THREADS[2:], metrics=[0], start=1000.0)
+        trial_id, metric_ids, event_ids = store_trial(
+            session, experiment, "split", ["TIME"], ["main", "work"], first,
+        )
+        doomed, _, _ = store_trial(
+            session, experiment, "doomed", ["TIME"], ["main", "work"],
+            cell_rows(THREADS, metrics=[0]),
+        )
+        conn = session.connection
+        insert_rows(conn, second, event_ids, metric_ids)
+        conn.execute(
+            "DELETE FROM interval_location_profile WHERE metric IN "
+            "(SELECT id FROM metric WHERE trial = ?)", (doomed,),
+        )
+        conn.commit()
+        loaded = assert_loads_like_reference(session, trial_id)
+        assert [tuple(t) for t in loaded.thread_triples.tolist()] == THREADS
+        if conn.backend == "minisql":
+            assert probe_is_scattered(session, metric_ids[0])
+
+    def test_thread_first_seen_in_a_later_metric(self, session, experiment):
+        """Thread (5, 0, 0) has no TIME rows and leads PAPI_FP_OPS's: it
+        is numbered after every thread TIME has, as the JOIN meets it."""
+        late = (5, 0, 0)
+        rows = cell_rows(THREADS[:3], metrics=[0])
+        rows += cell_rows([late] + THREADS[:3], metrics=[1], start=500.0)
+        trial_id, _, _ = store_trial(
+            session, experiment, "late", ["TIME", "PAPI_FP_OPS"],
+            ["main", "work"], rows,
+        )
+        loaded = assert_loads_like_reference(session, trial_id)
+        assert [tuple(t) for t in loaded.thread_triples.tolist()] == (
+            THREADS[:3] + [late]
+        )
+        assert loaded.inclusive[0][3].tolist() == [0.0, 0.0]
+        assert loaded.inclusive[1][3].tolist() == [500.5 + 1, 510.5 + 1]
+
+    def test_triples_too_wide_for_one_key(self, session, experiment):
+        """Spans of node, context and thread whose product passes int64
+        (one shared key would make (4, 0, 0) collide with (0, 0, 0)):
+        threads are numbered by comparing the triples themselves."""
+        wide = [(0, 0, 0), (4, 0, 0), (0, 2**31 - 1, 0), (0, 0, 2**31 - 1)]
+        trial_id, _, _ = store_trial(
+            session, experiment, "wide", ["TIME"], ["main", "work"],
+            cell_rows(wide, metrics=[0]),
+        )
+        loaded = assert_loads_like_reference(session, trial_id)
+        assert [tuple(t) for t in loaded.thread_triples.tolist()] == wide
+
+    def test_node_beyond_int32_is_refused_not_wrapped(self, session, experiment):
+        trial_id, _, _ = store_trial(
+            session, experiment, "huge", ["TIME"], ["main"],
+            cell_rows([(2**31, 0, 0)], metrics=[0], events=1),
+        )
+        with pytest.raises(OverflowError):
+            session.load_columnar(trial_id)
+
+    def test_stored_nulls_load_as_nan(self, session, experiment):
+        rows = cell_rows(THREADS[:2], metrics=[0])
+        rows[1] = rows[1][:3] + (None, None) + rows[1][5:]
+        trial_id, _, _ = store_trial(
+            session, experiment, "nulls", ["TIME"], ["main", "work"], rows,
+        )
+        loaded = session.load_columnar(trial_id)
+        assert np.isnan(loaded.inclusive[0][0, 1])
+        assert np.isnan(loaded.exclusive[0][0, 1])
+        assert loaded.inclusive[0][0, 0] == 0.5
+        assert loaded.inclusive[0][1].tolist() == [100.5, 110.5]
+
+    def test_no_location_rows_loads_no_threads(self, session, experiment):
+        trial_id, _, _ = store_trial(
+            session, experiment, "bare", ["TIME"], ["main"], [],
+        )
+        loaded = session.load_columnar(trial_id)
+        assert loaded.num_threads == 0
+        assert loaded.inclusive[0].shape == (0, 1)
+
+    def test_row_of_a_foreign_event_raises(self, session, experiment):
+        trial_id, metric_ids, _ = store_trial(
+            session, experiment, "own", ["TIME"], ["main", "work"],
+            cell_rows(THREADS[:1], metrics=[0]),
+        )
+        _, _, (foreign,) = store_trial(
+            session, experiment, "other", ["TIME"], ["elsewhere"], [],
+        )
+        insert_rows(
+            session.connection, [(0, (9, 0, 0), 0, 1.0, 1.0, 1.0, 0.0)],
+            [foreign], metric_ids,
+        )
+        with pytest.raises(KeyError, match=str(foreign)):
+            session.load_columnar(trial_id)

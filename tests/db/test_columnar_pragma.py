@@ -212,6 +212,29 @@ class TestExplainVectorizedColumn:
         assert flags["GROUP BY (hash aggregation)"] == "yes"
         assert flags["RESULT"] is None
 
+    def test_subquery_statement_access_step_reads_as_run(self, conn):
+        """The access step reports the statement as it runs, with the
+        IN (SELECT ...) list turned into literals, as its ``compiled``
+        column does: that statement and the subquery each run the
+        vector plan.  The WHERE step describes the WHERE as written."""
+        conn.execute("PRAGMA columnar(on)")
+        conn.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        conn.execute("CREATE TABLE u (a INTEGER)")
+        conn.execute("INSERT INTO t VALUES (1, 2), (3, 4), (5, 6)")
+        conn.execute("INSERT INTO u VALUES (1), (3)")
+        conn.commit()
+        sql = "SELECT a FROM t WHERE a IN (SELECT a FROM u)"
+        assert conn.execute(f"EXPLAIN {sql}").fetchall() == [
+            (0, "SCAN t", "yes", "yes"),
+        ]
+        before = conn.stats()["vector_selects"]
+        assert conn.execute(sql).fetchall() == [(1,), (3,)]
+        assert conn.stats()["vector_selects"] == before + 2
+        rows = conn.execute(f"EXPLAIN ANALYZE {sql}").fetchall()
+        flags = {row[1]: row[5] for row in rows}
+        assert flags["SCAN t"] == "yes"
+        assert flags["WHERE filter"] == "no"
+
     def test_analyze_grouped_query_not_vector_flagged(self, populated):
         populated.execute("PRAGMA columnar(t on)")
         rows = populated.execute(

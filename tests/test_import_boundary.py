@@ -4,7 +4,9 @@ Every ``perfdmf`` command pays for ``import repro.cli``, and every
 server start for ``import repro.explorer.server``.  scipy.optimize
 serves one curve fit in the scaling models, scipy.stats two analysis
 methods, and the call graph is plain Python, so a cold start loads
-none of them.
+none of them.  The database layer needs no numpy at all: MiniSQL's
+column fetch hands out ``array.array`` columns, which the analysis
+side reads into numpy itself.
 """
 
 from __future__ import annotations
@@ -47,3 +49,8 @@ def test_server_import_leaves_scipy_stats_and_optimize_out():
     assert _loaded(
         "repro.explorer.server", "scipy.stats", "scipy.optimize"
     ) == []
+
+
+def test_minisql_and_db_api_imports_leave_numpy_out():
+    assert _loaded("repro.db.minisql", "numpy") == []
+    assert _loaded("repro.db.api", "numpy") == []
