@@ -643,6 +643,10 @@ class VectorPlan:
     #: agg: row-closure GroupPlan over the compact representative row
     #: (having / item / order sections reuse the PR 5 closures).
     grouped: Optional[GroupPlan] = None
+    #: Every WHERE conjunct as (table position, constant) when each is
+    #: ``col = literal/placeholder``; None otherwise.  A hash probe on
+    #: those columns may discharge the WHERE re-check.
+    eq_where: Optional[tuple[tuple[int, Any], ...]] = None
 
 
 def _liftn(fns: list, elem: Callable) -> VecFn:

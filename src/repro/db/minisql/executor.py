@@ -46,8 +46,8 @@ from .errors import (
     IntegrityError, NotSupportedError, OperationalError, ProgrammingError,
 )
 from .expr import (
-    RowContext, column_refs, contains_aggregate, evaluate, is_aggregate_call,
-    ref_name, truthy, walk,
+    RowContext, _maybe_number, column_refs, contains_aggregate, evaluate,
+    is_aggregate_call, ref_name, truthy, walk,
 )
 from .functions import make_aggregate
 from .storage import Column, Database, Index, OMITTED, SortedIndex, Table
@@ -1440,6 +1440,7 @@ class Executor:
             # A pure-numeric mask holds only int/float/None, so the
             # executor can filter with plain truth tests (no truthy()).
             where_pure = wpurity in ("num", "null")
+        eq_where = _eq_where(table, stmt.table.effective_name, stmt.where)
 
         if plan.is_grouped:
             if stmt.group_by:
@@ -1478,13 +1479,17 @@ class Executor:
                 positions=positions,
                 checked=tuple(sorted(positions[c] for c in checked)),
                 where_fn=where_fn, where_pure=where_pure,
-                kind="agg", aggs=aggs, grouped=gp,
+                kind="agg", aggs=aggs, grouped=gp, eq_where=eq_where,
             )
 
         items: list[Any] = []
         for e in plan.exprs:
             if isinstance(e, int):
                 items.append(remap[e])
+            elif isinstance(e, ColumnRef) and e.qualified.lower() in resolution:
+                # A bare column is copied as ``*`` copies it: values of
+                # any class, so it needs no purity check.
+                items.append(resolution[e.qualified.lower()])
             else:
                 out = try_vcompile(e, resolution, purities, checked)
                 if out is None:
@@ -1524,18 +1529,20 @@ class Executor:
             positions=positions,
             checked=tuple(sorted(positions[c] for c in checked)),
             where_fn=where_fn, where_pure=where_pure,
-            kind="plain", items=items, order=order,
+            kind="plain", items=items, order=order, eq_where=eq_where,
         )
 
     def _vector_select(
         self, stmt: Select, plan: SelectPlan, table: Table,
         params: Sequence[Any], slots: Optional[Sequence[int]] = None,
+        recheck: bool = True,
     ) -> Optional[list[tuple[Any, ...]] | ResultColumns]:
         """Run the vector plan over every live row, or over ``slots``
         when an index probe selected them, or return None to fall back
         (atomic contract: impure column, empty relation, or any
         mid-flight error routes the whole statement to the compact/row
-        path, which reproduces errors with canonical per-row semantics)."""
+        path, which reproduces errors with canonical per-row semantics).
+        ``recheck=False`` skips WHERE: the probe already applied it."""
         vp = plan.vector
         n = table.live_count if slots is None else len(slots)
         if n == 0:
@@ -1548,7 +1555,7 @@ class Executor:
         else:
             cols = [table.column_gather(p, slots) for p in vp.positions]
         sel: Optional[list[int]] = None  # None = every row selected
-        if vp.where_fn is not None:
+        if vp.where_fn is not None and recheck:
             mask = vp.where_fn(cols, n, params)
             if type(mask) is _VS:
                 if not truthy(mask.value):
@@ -1752,9 +1759,10 @@ class Executor:
         the rowid order ``_iter_plan`` would stream them.  Ordered walks
         stay on the row path, where ORDER BY ... LIMIT stops early.  The
         WHERE clause is re-checked in full over the gathered columns, as
-        the row path re-checks it per row.  Counters are charged only on
-        success: on fallback the row pipeline charges them itself, so a
-        probe is counted once either way.
+        the row path re-checks it per row, unless the hash probe has
+        discharged every conjunct (:func:`_eq_discharged`).  Counters
+        are charged only on success: on fallback the row pipeline
+        charges them itself, so a probe is counted once either way.
         """
         if plan.vector is None or not table.is_columnar or access.ordered:
             return None
@@ -1767,9 +1775,11 @@ class Executor:
                 include_null=access.include_null,
             ))
         stats = self.database.stats
+        discharged = _eq_discharged(plan.vector, access, table, params)
         try:
             result = self._vector_select(
-                stmt, plan, table, params, table.slots_of(rowids)
+                stmt, plan, table, params, table.slots_of(rowids),
+                recheck=not discharged,
             )
         except Exception:
             result = None  # the row path replays it with row semantics
@@ -1777,6 +1787,8 @@ class Executor:
             stats["vector_fallbacks"] += 1
             _VECTOR_FALLBACKS.inc()
             return None
+        if discharged:
+            stats["probe_where_discharged"] += 1
         stats["index_eq_probes" if access.kind == "eq" else "index_range_scans"] += 1
         stats["rows_scanned"] += len(rowids)
         stats["rows_via_index"] += len(rowids)
@@ -2255,39 +2267,114 @@ def _select_alias_names(stmt: Select) -> frozenset[str]:
     )
 
 
+def _eq_constant(
+    conjunct: Expression, table: Table, alias: str
+) -> Optional[tuple[str, Expression]]:
+    """``(column name, constant)`` when ``conjunct`` is ``col = literal``
+    or ``col = ?`` (either way round) on a column of ``table``."""
+    if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
+        return None
+    for col_side, const_side in (
+        (conjunct.left, conjunct.right),
+        (conjunct.right, conjunct.left),
+    ):
+        if (
+            isinstance(col_side, ColumnRef)
+            and isinstance(const_side, (Literal, Placeholder))
+            and (col_side.table is None or col_side.table.lower() in (
+                alias.lower(), table.name.lower(),
+            ))
+            and table.has_column(col_side.name)
+        ):
+            return col_side.name.lower(), const_side
+    return None
+
+
+def _eq_where(
+    table: Table, alias: str, where: Optional[Expression]
+) -> Optional[tuple[tuple[int, Expression], ...]]:
+    """``VectorPlan.eq_where``: each WHERE conjunct as (column position,
+    constant), or None unless every one is ``col = constant``."""
+    if where is None:
+        return None
+    found = [_eq_constant(c, table, alias) for c in _conjuncts(where)]
+    if not all(found):
+        return None
+    return tuple((table.position_of(name), const) for name, const in found)
+
+
+def _probe_key(column: Column, value: Any) -> Any:
+    """The index key that finds every row ``column = value`` accepts, or
+    None where no one key does.
+
+    The comparison reads a numeric string as its number against a number
+    (``_compare_values``).  A numeric column stores every numeric string
+    as its number, so a string key probes its number there.  A TEXT
+    column holds only strings, and a number equals each string that
+    spells it ('2', '2.0', ...): a numeric key declines its index.
+    """
+    if column.affinity == "TEXT":
+        return value if isinstance(value, str) else None
+    if isinstance(value, str):
+        return _maybe_number(value)
+    return value if isinstance(value, (int, float)) else None
+
+
 def _pinned_eq(
     table: Table,
     alias: str,
     conjuncts: list[Expression],
     params: Sequence[Any],
 ) -> dict[str, Any]:
-    """Columns pinned by a ``col = constant`` conjunct, with values."""
+    """Columns pinned by a ``col = constant`` conjunct, with the keys
+    (:func:`_probe_key`) their indexes are probed with."""
     pinned: dict[str, Any] = {}
-    alias_lower = alias.lower()
-    table_lower = table.name.lower()
     for conjunct in conjuncts:
-        if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
+        found = _eq_constant(conjunct, table, alias)
+        if found is None:
             continue
-        for col_side, const_side in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if not isinstance(col_side, ColumnRef):
-                continue
-            if col_side.table is not None and col_side.table.lower() not in (
-                alias_lower, table_lower,
-            ):
-                continue
-            if not isinstance(const_side, (Literal, Placeholder)):
-                continue
-            if not table.has_column(col_side.name):
-                continue
-            value = evaluate(const_side, None, params)
-            if value is None:
-                continue
-            pinned[col_side.name.lower()] = value
-            break
+        name, const = found
+        key = _probe_key(
+            table.columns[table.position_of(name)],
+            evaluate(const, None, params),
+        )
+        if key is not None:
+            pinned[name] = key
     return pinned
+
+
+def _eq_discharged(
+    vector: VectorPlan, access: "_AccessPlan", table: Table,
+    params: Sequence[Any],
+) -> bool:
+    """Whether the hash probe alone selected exactly the rows WHERE
+    accepts, so the vector plan need not re-check it.
+
+    Holds when every conjunct is ``col = constant`` on a column of the
+    probed index that holds only numbers (no escape-hatch value), with a
+    non-NaN numeric constant equal to that column's key: the hash map
+    then returns precisely the rows whose value equals the constant.  A
+    NaN key is excluded because the map finds a stored NaN object by
+    identity, which the comparison rejects.
+    """
+    if access.kind != "eq" or vector.eq_where is None:
+        return False
+    positions = access.index.column_positions
+    for position, const in vector.eq_where:
+        if (
+            position not in positions
+            or table.columns[position].affinity == "TEXT"
+            or not table.column_pure(position)
+        ):
+            return False
+        value = evaluate(const, None, params)
+        if (
+            not isinstance(value, (int, float))
+            or value != value
+            or value != access.key[positions.index(position)]
+        ):
+            return False
+    return True
 
 
 _NORMALISED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -2317,7 +2404,10 @@ def _range_bounds(
     constant, as ``name -> [lo, hi]`` with ``(value, inclusive)`` bounds.
 
     Bounds only *narrow* the scan; WHERE is re-applied in full afterwards,
-    so collecting a subset (or a looser bound) is always safe.
+    so collecting a subset (or a looser bound) is always safe.  A bound
+    of the other class than its column (a number against TEXT, a string
+    against a numeric column) is dropped: the index orders every number
+    before every string, so it would cut off rows the comparison takes.
     """
     alias_lower = alias.lower()
     table_lower = table.name.lower()
@@ -2342,6 +2432,14 @@ def _range_bounds(
 
     def add(name: str, lo: Optional[tuple[Any, bool]],
             hi: Optional[tuple[Any, bool]]) -> None:
+        affinity = table.columns[table.position_of(name)].affinity
+        kind = str if affinity == "TEXT" else (int, float)
+        if lo is not None and not isinstance(lo[0], kind):
+            lo = None
+        if hi is not None and not isinstance(hi[0], kind):
+            hi = None
+        if lo is None and hi is None:
+            return
         entry = bounds.setdefault(name, [None, None])
         if lo is not None and (entry[0] is None or _tighter_lo(lo, entry[0])):
             entry[0] = lo

@@ -1181,7 +1181,8 @@ class Database:
         "index_eq_probes", "index_range_scans", "order_pushdowns",
         "bulk_loads", "bulk_rows", "bulk_index_rebuilds",
         "plan_cache_hits", "plan_cache_misses", "compile_fallbacks",
-        "vector_selects", "vector_fallbacks", "columnar_conversions",
+        "vector_selects", "vector_fallbacks", "probe_where_discharged",
+        "columnar_conversions",
         "snapshot_selects", "snapshot_refreshes", "snapshot_table_clones",
         "snapshot_stale_serves",
     )

@@ -19,7 +19,9 @@ import numpy as np
 
 from ..core.model import ColumnarTrial, DataSource
 from ..core.toolkit.speedup import SpeedupAnalyzer
-from ..core.toolkit.stats import event_values, group_breakdown, trial_event_names
+from ..core.toolkit.stats import (
+    event_values, group_breakdown, thread_metric_matrix, trial_event_names,
+)
 
 TrialData = DataSource | ColumnarTrial
 
@@ -102,20 +104,20 @@ def group_fraction_chart(
 def imbalance_chart(
     source: TrialData, metric: int = 0, top: int = 10
 ) -> dict[str, Any]:
-    """Per-event imbalance (max/mean over threads), worst first."""
-    rows = []
-    for name in trial_event_names(source):
-        values = event_values(source, name, metric)
-        mean = float(values.mean())
-        if mean <= 0:
-            continue
-        rows.append(
-            {
-                "event": name,
-                "mean": mean,
-                "max": float(values.max()),
-                "imbalance": float(values.max() / mean),
-            }
-        )
+    """Per-event imbalance (max/mean over threads), worst first.
+
+    Each event's mean and max are column reductions of the (threads ×
+    events) matrix, which both inputs build the same way.
+    """
+    matrix, names = thread_metric_matrix(source, metric)
+    if not names:
+        return {"events": []}
+    means = matrix.mean(axis=0).tolist()
+    peaks = matrix.max(axis=0).tolist()
+    rows = [
+        {"event": name, "mean": mean, "max": peak, "imbalance": peak / mean}
+        for name, mean, peak in zip(names, means, peaks)
+        if not mean <= 0  # a NaN mean stays in
+    ]
     rows.sort(key=lambda r: r["imbalance"], reverse=True)
     return {"events": rows[:top]}

@@ -14,6 +14,7 @@ the server code is backend-agnostic, mirroring the paper's design.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -22,6 +23,9 @@ from .clustering import (
     ClusterResult, cluster_trial, kmeans, pca_reduce, silhouette_score,
     summarize_clusters,
 )
+
+_EPS = float(np.finfo(float).eps)
+_NAN = float("nan")
 
 
 class AnalysisBackend:
@@ -54,39 +58,92 @@ class NumpyAnalysisBackend(AnalysisBackend):
         return pca_reduce(matrix, components)
 
     def describe(self, values: np.ndarray) -> dict[str, float]:
-        # scipy.stats loads scipy.optimize, ~0.5 s and ~700 modules that
-        # a server start need not pay; only these two methods use it.
-        from scipy import stats as scipy_stats
-
         values = np.asarray(values, dtype=float)
-        if values.size == 0:
+        n = values.size
+        if n == 0:
             return {"n": 0.0}
+        mean = values.mean()
+        d = values - mean
+        d2 = d * d
+        m2 = d2.mean()
+        # scipy.stats' biased moments, NaN where m2 is lost to rounding.
+        flat = m2 <= (_EPS * mean) ** 2
         return {
-            "n": float(values.size),
+            "n": float(n),
             "min": float(values.min()),
             "max": float(values.max()),
-            "mean": float(values.mean()),
+            "mean": float(mean),
             "median": float(np.median(values)),
-            "stddev": float(values.std(ddof=1)) if values.size > 1 else 0.0,
-            "skewness": float(scipy_stats.skew(values)) if values.size > 2 else 0.0,
-            "kurtosis": float(scipy_stats.kurtosis(values)) if values.size > 3 else 0.0,
+            "stddev": float(values.std(ddof=1)) if n > 1 else 0.0,
+            "skewness": (
+                _NAN if flat else float((d2 * d).mean() / m2 ** 1.5)
+            ) if n > 2 else 0.0,
+            "kurtosis": (
+                _NAN if flat else float((d2 * d2).mean() / m2 ** 2 - 3.0)
+            ) if n > 3 else 0.0,
         }
 
     def correlate(self, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
-        from scipy import stats as scipy_stats
-
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if len(x) != len(y) or len(x) < 2:
+        n = len(x)
+        if len(y) != n or n < 2:
             raise ValueError("correlate() needs two equal-length series, n >= 2")
-        pearson = scipy_stats.pearsonr(x, y)
-        spearman = scipy_stats.spearmanr(x, y)
+        if (
+            (x == x[0]).all() or (y == y[0]).all()
+            or np.isnan(x).any() or np.isnan(y).any()
+        ):
+            # A constant or NaN series has no correlation.
+            return dict.fromkeys(
+                ("pearson_r", "pearson_p", "spearman_r", "spearman_p"), _NAN
+            )
+        r = _pearson(x, y)
+        rho = _pearson(_ranks(x), _ranks(y))
+        if n == 2:
+            # Two points fit a line exactly; Spearman's test has no
+            # degrees of freedom.
+            r = float(np.round(r))
+            return {
+                "pearson_r": r, "pearson_p": 1.0 if r == r else _NAN,
+                "spearman_r": rho, "spearman_p": _NAN,
+            }
         return {
-            "pearson_r": float(pearson.statistic),
-            "pearson_p": float(pearson.pvalue),
-            "spearman_r": float(spearman.statistic),
-            "spearman_p": float(spearman.pvalue),
+            "pearson_r": r, "pearson_p": _p_value(r, n),
+            "spearman_r": rho, "spearman_p": _p_value(rho, n),
         }
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r, clipped to [-1, 1] (NaN passes through)."""
+    dx = x - x.mean()
+    dy = y - y.mean()
+    r = float(np.dot(dx, dy) / math.sqrt(np.dot(dx, dx) * np.dot(dy, dy)))
+    return min(max(r, -1.0), 1.0)
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties given the average of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    runs = np.diff(first)
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((first[:-1] + first[1:] + 1) / 2.0, runs)
+    return ranks
+
+
+def _p_value(r: float, n: int) -> float:
+    """Two-sided p-value of a correlation r over n pairs.
+
+    Under the null, Pearson's r follows a beta law whose tail is
+    ``I(1 - r**2; n/2 - 1, 1/2)``; Student's t with n - 2 degrees of
+    freedom, scipy.stats' test for Spearman's rho, reduces to the same
+    expression.  0.0 at |r| = 1.
+    """
+    # Imported here: a server start need not pay for scipy.special.
+    from scipy.special import betainc
+
+    return float(betainc(n / 2 - 1, 0.5, (1 - r) * (1 + r)))
 
 
 DEFAULT_BACKEND = NumpyAnalysisBackend()

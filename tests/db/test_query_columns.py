@@ -163,13 +163,20 @@ class TestTargeted:
                 probe, SELECT_K, (3,))[2]) is array
 
     def test_escape_hatch_value_in_an_integer_column(self, probe):
-        """MiniSQL keeps 2.5 in an INTEGER column's escape hatch.  A
-        named column is then refused by the vector plan (the row path
-        answers); ``*`` still gathers it, value by value."""
+        """MiniSQL keeps 2.5 in an INTEGER column's escape hatch.  The
+        vector plan gathers it value by value, both for a named column
+        and for ``*``: a projection copies values and needs no purity
+        check."""
         probe.execute("UPDATE p SET e = 2.5 WHERE id = 9")
         probe.commit()
+        if probe.mode == "columnar":
+            before = probe.stats()
         columns = assert_columns_are_transposed_rows(probe, SELECT_K, (2,))
         assert list(columns[1])[3] == 2.5
+        if probe.mode == "columnar":
+            after = probe.stats()
+            assert after["vector_fallbacks"] == before["vector_fallbacks"]
+            assert after["vector_selects"] > before["vector_selects"]
         columns = assert_columns_are_transposed_rows(
             probe, "SELECT * FROM p WHERE k = ?", (2,)
         )

@@ -250,7 +250,8 @@ PROBE_CORPUS = [
     # residual WHERE, re-checked over the gathered columns
     ("SELECT id, r FROM probe WHERE k = 1 AND v > 0 ORDER BY id", ()),
     ("SELECT id FROM probe WHERE k = 1 AND s IS NULL", ()),
-    # the impure column: gathered as is by *, refused in an expression
+    # the impure column: plain projections still gather it, an
+    # expression over it is refused
     ("SELECT * FROM probe WHERE k = 1 ORDER BY id", ()),
     ("SELECT id, x * 2 FROM probe WHERE k = 1 ORDER BY id", ()),
     # unordered btree ranges (ORDER BY does not follow idx_probe_r)
@@ -275,6 +276,30 @@ PROBE_CORPUS = [
      "(2, 2, 9.5, NULL, 11, 'back')", ()),
     ("SELECT id, r, v, s FROM probe WHERE k = 2 ORDER BY id", ()),
     ("SELECT id, r FROM probe WHERE r >= 6.0 ORDER BY r", ()),
+    # An index finds what a scan finds whatever the key's class: a
+    # string key probes a numeric column with its number, and a number
+    # declines a TEXT column's index ('2' = 2 and '2.0' = 2 both hold),
+    # as does a range bound of the other class than its column.
+    ("CREATE TABLE keyed (id INTEGER PRIMARY KEY, e INTEGER, r REAL, "
+     "t TEXT)", ()),
+    ("INSERT INTO keyed (id, e, r, t) VALUES " + ", ".join(
+        f"({i + 1}, {i % 3}, {float(i % 3)!r}, '{i % 3}')" for i in range(9)
+    ), ()),
+    ("CREATE INDEX idx_keyed_e ON keyed (e)", ()),
+    MiniSQLOnly("CREATE INDEX idx_keyed_r ON keyed (r) USING BTREE"),
+    MiniSQLOnly("CREATE INDEX idx_keyed_t ON keyed (t) USING BTREE"),
+    ("SELECT id FROM keyed WHERE e = '2'", ()),
+    ("SELECT id FROM keyed WHERE e = ?", ("2",)),
+    ("SELECT id, e FROM keyed WHERE e = '2.0'", ()),
+    ("SELECT id FROM keyed WHERE e = 'x'", ()),
+    ("SELECT id, r FROM keyed WHERE r = '2'", ()),
+    ("SELECT id FROM keyed WHERE e >= '2' ORDER BY id", ()),
+    ("SELECT id FROM keyed WHERE r >= '2' ORDER BY id", ()),
+    ("SELECT id FROM keyed WHERE r < ? ORDER BY id", ("1",)),
+    ("SELECT id FROM keyed WHERE t = 2", ()),
+    ("SELECT id FROM keyed WHERE t = ?", (2,)),
+    ("SELECT id FROM keyed WHERE t <= 5 ORDER BY id", ()),
+    ("SELECT id FROM keyed WHERE t BETWEEN 1 AND 2 ORDER BY id", ()),
 ]
 
 CORPUS += PROBE_CORPUS
