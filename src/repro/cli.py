@@ -26,16 +26,12 @@ same public API the library exposes.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Optional, Sequence
 
-from .core.io_ import export_xml
 from .core.session import PerfDMFSession
-from .core.toolkit import SpeedupAnalyzer
-from .paraprof import (
-    ArchiveManager, ProfileBrowser, aggregate_view, summary_text_view,
-    comparative_event_view, userevent_view,
-)
+from .paraprof import ArchiveManager, ProfileBrowser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,6 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        # The process entry (``python -m repro.cli``, the ``perfdmf``
+        # script): move every import-time object to the permanent
+        # generation, so the command's full collections and the exit
+        # collection stop rescanning them.  An in-process caller passing
+        # ``argv`` keeps its own collector state.
+        gc.freeze()
     args = build_parser().parse_args(argv)
     handler = {
         "configure": _cmd_configure,
@@ -419,6 +422,11 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_show(args) -> int:
+    from .paraprof import (
+        aggregate_view, comparative_event_view, summary_text_view,
+        userevent_view,
+    )
+
     session = PerfDMFSession(args.db)
     source = session.load_datasource(args.trial_id)
     if args.view == "aggregate":
@@ -437,6 +445,8 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .core.io_ import export_xml
+
     session = PerfDMFSession(args.db)
     source = session.load_datasource(args.trial_id)
     path = export_xml(source, args.output)
@@ -468,6 +478,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_speedup(args) -> int:
+    from .core.toolkit import SpeedupAnalyzer
+
     session = PerfDMFSession(args.db)
     app = session.get_application(args.app)
     if app is None:

@@ -4,22 +4,30 @@ Paper §3.1: *"Currently supported profile formats include gprof, TAU
 profiles, dynaprof, mpiP, HPMtoolkit (IBM), and Perfsuite (psrun).
 (Support for SvPablo is being added.)"* — all seven are implemented,
 plus import/export of PerfDMF's common XML representation.
+
+Each name below loads its submodule on first access, so importing one
+importer (or the registry) does not load the XML writers, the bulk
+pipeline or numpy.
 """
 
-from .cube import cube_string, export_cube, parse_cube
-from .snapshot_xml import export_snapshots, parse_snapshots
-from .base import ProfileParseError, discover_files, natural_sort_key
-from .bulk import IngestReport, ingest_profiles, parse_columnar, parse_profiles
-from .dynaprof import parse_dynaprof
-from .gprof import parse_gprof
-from .hpm import parse_hpm
-from .mpip import parse_mpip
-from .psrun import parse_psrun
-from .registry import FORMAT_NAMES, detect_format, get_parser, load_profile
-from .svpablo import parse_svpablo
-from .tau import parse_tau_profiles
-from .xml_export import export_xml, xml_string
-from .xml_import import parse_xml, parse_xml_string
+from ..._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "cube": ("cube_string", "export_cube", "parse_cube"),
+    "snapshot_xml": ("export_snapshots", "parse_snapshots"),
+    "base": ("ProfileParseError", "discover_files", "natural_sort_key"),
+    "bulk": ("IngestReport", "ingest_profiles", "parse_columnar", "parse_profiles"),
+    "dynaprof": ("parse_dynaprof",),
+    "gprof": ("parse_gprof",),
+    "hpm": ("parse_hpm",),
+    "mpip": ("parse_mpip",),
+    "psrun": ("parse_psrun",),
+    "registry": ("FORMAT_NAMES", "detect_format", "get_parser", "load_profile"),
+    "svpablo": ("parse_svpablo",),
+    "tau": ("parse_tau_profiles",),
+    "xml_export": ("export_xml", "xml_string"),
+    "xml_import": ("parse_xml", "parse_xml_string"),
+})
 
 __all__ = [
     "ProfileParseError", "discover_files", "natural_sort_key",

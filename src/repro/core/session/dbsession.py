@@ -14,19 +14,22 @@ from __future__ import annotations
 
 import json
 from time import perf_counter
-from typing import Any, Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 from repro.obs.metrics import registry as _registry
 from repro.obs.trace import traced as _traced, tracer as _tracer
 
 from ...db.api import DBConnection, connect
 from ..api.entities import Application, Experiment, Trial
-from ..model import ColumnarTrial, DataSource
+from ..model import DataSource
 from ..model.derived_expr import evaluate_metric_expression, metric_names_in
 from ..schema.manager import SchemaManager
 from .datasession import DataSession, _entity_id
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..model.columnar import ColumnarTrial
 
 _ILP_COLUMNS = (
     "interval_event, node, context, thread, metric, inclusive, "
@@ -178,6 +181,8 @@ class PerfDMFSession(DataSession):
         """
         started = perf_counter()
         if isinstance(source, DataSource):
+            from ..model.columnar import ColumnarTrial
+
             columnar = ColumnarTrial.from_datasource(source)
             atomic_source: Optional[DataSource] = source
         else:
@@ -604,6 +609,10 @@ class PerfDMFSession(DataSession):
         events by id), so per-thread vectors line up with its objects.
         PerfExplorer's analyses consume this form.
         """
+        import numpy as np
+
+        from ..model.columnar import ColumnarTrial
+
         trial_id = self._selected_trial_id(trial)
         conn = self.connection
         metric_rows = conn.query(
@@ -771,6 +780,8 @@ class PerfDMFSession(DataSession):
 def _event_positions(event_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Each of ``ids``' position in the ascending ``event_ids``; an id
     not among them (a row of another trial's event) raises KeyError."""
+    import numpy as np
+
     positions = np.searchsorted(event_ids, ids)
     found = event_ids[np.minimum(positions, len(event_ids) - 1)] == ids
     if not found.all():
@@ -784,6 +795,8 @@ def _thread_index(
     """Number each row's (node, context, thread) triple by the triple's
     first appearance; returns the per-row numbers and the distinct
     triples in that order."""
+    import numpy as np
+
     triples = np.column_stack((nodes, contexts, threads))
     if not len(triples):
         return np.zeros(0, dtype=np.intp), triples
@@ -822,6 +835,8 @@ def _location_rows_bulk(
     flattening and one ``zip`` — no per-cell Python ``float()`` calls,
     which dominate ingest time at 4K+ ranks.
     """
+    import numpy as np
+
     inc = columnar.inclusive[m]
     n_threads, n_events = inc.shape
     triples = columnar.thread_triples

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from typing import Any, Optional
 
-from ..io_.registry import load_profile
 from ..model import DataSource
 from .datasession import DataSession
 
@@ -32,6 +31,8 @@ class FileDataSession(DataSession):
         if isinstance(target, DataSource):
             self.datasource = target
         else:
+            from ..io_.registry import load_profile
+
             self.datasource = load_profile(target, format_name)
         self.application_name = application_name
         self.experiment_name = experiment_name

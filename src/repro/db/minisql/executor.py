@@ -1140,10 +1140,11 @@ class Executor:
                 if key is None:
                     continue
                 table_map.setdefault(key, []).append(list(inner_row))
+            lookup = _JoinKeys(table_map)
             for left in left_rows:
                 padded = left + [None] * (total - len(left))
                 key = probe_fn(padded, params, None)
-                matches = table_map.get(key, []) if key is not None else []
+                matches = lookup.matches(key) if key is not None else []
                 emitted = False
                 for inner_row in matches:
                     combined = left + inner_row
@@ -2318,6 +2319,50 @@ def _probe_key(column: Column, value: Any) -> Any:
     if isinstance(value, str):
         return _maybe_number(value)
     return value if isinstance(value, (int, float)) else None
+
+
+class _JoinKeys:
+    """A hash join's build side, looked up the way ``=`` compares.
+
+    ``=`` reads a numeric string as its number against a number
+    (``_compare_values``), so 2 equals '2' and '2.0'.  A probe key finds
+    the rows under that very key, and across classes the rows under
+    every key of the other class that compares equal to it.  A build
+    side of one class and a probe of the same class (every PerfDMF
+    catalog join is INTEGER = INTEGER) take the plain dict lookup.  The
+    join re-checks its whole condition on every row returned.
+    """
+
+    __slots__ = ("rows", "has_text", "has_other", "_text_numbers")
+
+    def __init__(self, rows: dict[Any, list[list[Any]]]):
+        self.rows = rows
+        texts = sum(isinstance(key, str) for key in rows)
+        self.has_text = texts > 0
+        self.has_other = texts < len(rows)
+        self._text_numbers: Optional[dict[Any, list[list[Any]]]] = None
+
+    def matches(self, key: Any) -> list[list[Any]]:
+        found = self.rows.get(key, [])
+        if isinstance(key, str):
+            if self.has_other:
+                number = _maybe_number(key)
+                if not isinstance(number, str):
+                    found = found + self.rows.get(number, [])
+        elif self.has_text:
+            found = found + self._numbers().get(key, [])
+        return found
+
+    def _numbers(self) -> dict[Any, list[list[Any]]]:
+        """The rows under each numeric string key, keyed by its number."""
+        if self._text_numbers is None:
+            self._text_numbers = {}
+            for key, rows in self.rows.items():
+                if isinstance(key, str):
+                    number = _maybe_number(key)
+                    if not isinstance(number, str):
+                        self._text_numbers.setdefault(number, []).extend(rows)
+        return self._text_numbers
 
 
 def _pinned_eq(

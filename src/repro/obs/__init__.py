@@ -8,7 +8,9 @@ Zero external dependencies.  Three pillars:
   gauges and log2-bucket histograms with Prometheus/JSON exposition;
 * :mod:`repro.obs.log` — structured JSON-lines logging;
 * :mod:`repro.obs.telemetry` — live HTTP endpoint (/metrics, /healthz,
-  /stats.json) any Prometheus scraper or health check can hit;
+  /stats.json) any Prometheus scraper or health check can hit
+  (imported from its module: it pulls in ``http.server``, which only a
+  serving process needs);
 * :mod:`repro.obs.bench` — continuous-benchmarking archive and
   statistical regression detection (imported lazily: it pulls in the
   session layer, which itself depends on this package).
@@ -28,7 +30,6 @@ from repro.obs.metrics import (
     get_registry,
     registry,
 )
-from repro.obs.telemetry import TelemetryServer
 from repro.obs.trace import (
     Tracer, get_tracer, new_trace_id, span, traced, tracer,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "StructuredLogger",
-    "TelemetryServer",
     "Tracer",
     "configure_logging",
     "escape_label_value",

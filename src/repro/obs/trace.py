@@ -35,7 +35,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from collections import deque
 from typing import Any, Iterable, Optional
 
@@ -54,6 +53,8 @@ def _new_span_id() -> str:
 
 
 def new_trace_id() -> str:
+    import uuid
+
     return uuid.uuid4().hex[:16]
 
 

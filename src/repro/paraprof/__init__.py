@@ -1,16 +1,25 @@
-"""``repro.paraprof`` — ParaProf as a text-mode analyzer (paper §5.1)."""
+"""``repro.paraprof`` — ParaProf as a text-mode analyzer (paper §5.1).
 
-from .barchart import bar_table, format_value, horizontal_bar
-from .browser import ProfileBrowser
-from .federate import synchronize, transfer_trial
-from .htmlreport import html_report, write_html_report
-from .callgraph import call_graph_dot, call_graph_stats, call_tree_view
-from .shell import ParaProfShell, run_shell
-from .displays import (
-    aggregate_view, comparative_event_view, summary_text_view,
-    thread_profile_view, userevent_view,
-)
-from .manager import ArchiveManager
+Each name below loads its submodule on first access: listing an
+archive needs the manager and the browser, not the displays, the
+HTML report or the shell (and the analysis toolkit behind them).
+"""
+
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "barchart": ("bar_table", "format_value", "horizontal_bar"),
+    "browser": ("ProfileBrowser",),
+    "federate": ("synchronize", "transfer_trial"),
+    "htmlreport": ("html_report", "write_html_report"),
+    "callgraph": ("call_graph_dot", "call_graph_stats", "call_tree_view"),
+    "shell": ("ParaProfShell", "run_shell"),
+    "displays": (
+        "aggregate_view", "comparative_event_view", "summary_text_view",
+        "thread_profile_view", "userevent_view",
+    ),
+    "manager": ("ArchiveManager",),
+})
 
 __all__ = [
     "ArchiveManager", "ProfileBrowser",

@@ -11,10 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.model import DataSource
-from .displays import (
-    aggregate_view, comparative_event_view, summary_text_view,
-    thread_profile_view, userevent_view,
-)
 from .manager import ArchiveManager
 
 
@@ -61,23 +57,36 @@ class ProfileBrowser:
 
     # -- windows ----------------------------------------------------------------------
 
+    # The display functions load the analysis toolkit (numpy), so each
+    # view imports its own on first use: browsing the tree needs none.
+
     def show_aggregate(self, metric: int | None = None, top: int = 20) -> str:
+        from .displays import aggregate_view
+
         return f"[{self._open_label}]\n" + aggregate_view(self.current, metric, top)
 
     def show_thread(
         self, node: int, context: int = 0, thread_id: int = 0, metric: int | None = None
     ) -> str:
+        from .displays import thread_profile_view
+
         return f"[{self._open_label}]\n" + thread_profile_view(
             self.current, node, context, thread_id, metric
         )
 
     def show_event(self, event_name: str, metric: int | None = None) -> str:
+        from .displays import comparative_event_view
+
         return f"[{self._open_label}]\n" + comparative_event_view(
             self.current, event_name, metric
         )
 
     def show_summary(self, metric: int | None = None) -> str:
+        from .displays import summary_text_view
+
         return f"[{self._open_label}]\n" + summary_text_view(self.current, metric)
 
     def show_userevents(self) -> str:
+        from .displays import userevent_view
+
         return f"[{self._open_label}]\n" + userevent_view(self.current)

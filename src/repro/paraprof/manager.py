@@ -14,10 +14,20 @@ from __future__ import annotations
 import os
 from typing import Any, Optional
 
-from ..core.io_.registry import load_profile
 from ..core.model import DataSource
 from ..core.session.dbsession import PerfDMFSession
 from ..core.api.entities import Application, Experiment, Trial
+
+
+def load_profile(
+    target: str | os.PathLike, format_name: Optional[str] = None
+) -> DataSource:
+    """Parse ``target`` with the format registry.  The registry (every
+    importer) loads on the first call, so a command that stores no
+    profile never imports it."""
+    from ..core.io_.registry import load_profile as registry_load_profile
+
+    return registry_load_profile(target, format_name)
 
 
 class ArchiveManager:

@@ -300,6 +300,25 @@ PROBE_CORPUS = [
     ("SELECT id FROM keyed WHERE t = ?", (2,)),
     ("SELECT id FROM keyed WHERE t <= 5 ORDER BY id", ()),
     ("SELECT id FROM keyed WHERE t BETWEEN 1 AND 2 ORDER BY id", ()),
+    # A hash join finds what the comparison finds: an INTEGER key joins
+    # every TEXT key that spells its number ('2' and '2.0'), in either
+    # join order and through a LEFT JOIN, while TEXT = TEXT still
+    # compares strings ('2' <> '2.0').
+    ("CREATE TABLE ja (id INTEGER PRIMARY KEY, e INTEGER)", ()),
+    ("CREATE TABLE jb (id INTEGER PRIMARY KEY, t TEXT)", ()),
+    ("INSERT INTO ja (id, e) VALUES (1, 1), (2, 2), (3, 7)", ()),
+    ("INSERT INTO jb (id, t) VALUES (1, '1'), (2, '2'), (3, '2.0'), "
+     "(4, 'x')", ()),
+    ("SELECT ja.id, jb.id FROM ja JOIN jb ON ja.e = jb.t "
+     "ORDER BY ja.id, jb.id", ()),
+    ("SELECT ja.id, jb.id FROM jb JOIN ja ON ja.e = jb.t "
+     "ORDER BY ja.id, jb.id", ()),
+    ("SELECT jb.id, ja.id FROM jb LEFT JOIN ja ON ja.e = jb.t "
+     "ORDER BY jb.id", ()),
+    ("SELECT ja.id, jb.id FROM ja LEFT JOIN jb ON jb.t = ja.e "
+     "ORDER BY ja.id, jb.id", ()),
+    ("SELECT x.id, y.id FROM jb x JOIN jb y ON x.t = y.t "
+     "ORDER BY x.id, y.id", ()),
 ]
 
 CORPUS += PROBE_CORPUS
