@@ -16,13 +16,14 @@ from typing import Any, Callable, Iterable, Mapping
 
 
 def lazy_exports(
-    package: str, exports: Mapping[str, Iterable[str]]
+    module: str, exports: Mapping[str, Iterable[str]]
 ) -> Callable[[str], Any]:
-    """A module ``__getattr__`` for ``package`` that resolves ``exports``.
+    """A module ``__getattr__`` for ``module`` that resolves ``exports``.
 
-    ``exports`` maps each submodule of ``package`` to the names it
-    defines (``{"columnar": ("ColumnarTrial",)}``).  A resolved name is
-    stored on the package, so later lookups never reach the hook.
+    ``exports`` maps each module of ``module``'s package (the package
+    itself, for an ``__init__``) to the names it defines
+    (``{"columnar": ("ColumnarTrial",)}``).  A resolved name is stored on
+    ``module``, so later lookups never reach the hook.
     """
     submodule_of = {
         name: submodule for submodule, names in exports.items() for name in names
@@ -31,9 +32,12 @@ def lazy_exports(
     def __getattr__(name: str) -> Any:
         submodule = submodule_of.get(name)
         if submodule is None:
-            raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(f".{submodule}", package), name)
-        setattr(sys.modules[package], name, value)
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        owner = sys.modules[module]
+        value = getattr(
+            importlib.import_module(f".{submodule}", owner.__package__), name
+        )
+        setattr(owner, name, value)
         return value
 
     return __getattr__

@@ -821,9 +821,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_sql(args) -> int:
-    from .db.api import DatabaseError, connect
+    from .db import api
 
-    conn = connect(args.db)
+    conn = api.connect(args.db)
     try:
         cursor = conn.execute(args.statement)
         if cursor.description:
@@ -834,7 +834,7 @@ def _cmd_sql(args) -> int:
         else:
             print(f"ok ({cursor.rowcount} row(s) affected)")
         conn.commit()
-    except DatabaseError as exc:
+    except api.DatabaseError as exc:  # resolved only while matching
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from ..model import DataSource
 from ..model.events import CALLPATH_SEPARATOR
@@ -42,6 +41,10 @@ def export_cube(source: DataSource, path: str | os.PathLike) -> Path:
 
 
 def cube_string(source: DataSource) -> str:
+    # Imported here: xml.sax.saxutils loads urllib.request, http.client,
+    # ssl and email, which every parse through the registry would pay.
+    from xml.sax.saxutils import escape
+
     threads = list(source.all_threads())
     events = list(source.interval_events.values())
     parts: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']

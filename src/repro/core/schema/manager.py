@@ -5,7 +5,8 @@ from __future__ import annotations
 from repro.obs.log import get_logger
 from repro.obs.metrics import registry as _registry
 
-from ...db.api import DBConnection, IntegrityError
+from ...db import api  # api.IntegrityError loads sqlite3: named at the except
+from ...db.api import DBConnection
 from .ddl import (
     DEFAULT_METADATA, REQUIRED_COLUMNS, TABLE_NAMES, UNIQUE_CONSTRAINTS,
     ddl_statements,
@@ -71,7 +72,7 @@ class SchemaManager:
                     f"CREATE UNIQUE INDEX __uqc_{table}_0 "
                     f"ON {table} ({', '.join(columns)})"
                 )
-            except IntegrityError as exc:
+            except api.IntegrityError as exc:
                 _registry.counter("schema.unique_violations").inc()
                 _log.warning(
                     "unique_constraint_violated", table=table,

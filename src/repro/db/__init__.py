@@ -12,12 +12,15 @@ Use :func:`repro.db.connect` with a URL::
     conn = db.connect("minisql://shared-archive")
 """
 
-from .api import (
-    ColumnMetadata, DatabaseError, DBConnection, IntegrityError,
-    OperationalError, ProgrammingError, connect, parse_url,
-)
+from .._lazy import lazy_exports
+from .api import ColumnMetadata, DBConnection, connect, parse_url
 from .dialects import DIALECTS, Dialect, get_dialect
 from .pool import ConnectionPool, PoolTimeout
+
+# The exception aliases load sqlite3: resolved on first access.
+__getattr__ = lazy_exports(__name__, {"errors": (
+    "DatabaseError", "IntegrityError", "OperationalError", "ProgrammingError",
+)})
 
 __all__ = [
     "connect", "parse_url", "DBConnection", "ColumnMetadata",

@@ -20,24 +20,24 @@ engine and adds
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
+from repro._lazy import lazy_exports
 from repro.obs.metrics import registry as _registry
 from repro.obs.trace import tracer as _tracer
 
 from . import minisql
 from .dialects import Dialect, get_dialect
 
-# Uniform exception aliases: both engines raise compatible hierarchies,
-# and callers of repro.db catch these.
-DatabaseError = (sqlite3.DatabaseError, minisql.DatabaseError)
-IntegrityError = (sqlite3.IntegrityError, minisql.IntegrityError)
-OperationalError = (sqlite3.OperationalError, minisql.OperationalError)
-ProgrammingError = (sqlite3.ProgrammingError, minisql.ProgrammingError)
+# Uniform exception aliases (repro.db.errors): both engines raise
+# compatible hierarchies, and callers of repro.db catch these.  They
+# load sqlite3, so they resolve on first access.
+__getattr__ = lazy_exports(__name__, {"errors": (
+    "DatabaseError", "IntegrityError", "OperationalError", "ProgrammingError",
+)})
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,8 @@ def connect(url: str = "sqlite://:memory:") -> "DBConnection":
     """Open a :class:`DBConnection` for ``url``."""
     backend, target = parse_url(url)
     if backend == "sqlite":
+        import sqlite3
+
         raw = sqlite3.connect(target, check_same_thread=False)
         raw.create_aggregate("stddev", 1, _SqliteStddev)
         raw.create_aggregate("stdev", 1, _SqliteStddev)

@@ -23,6 +23,7 @@ optimisations are exercised by the E7 ablation benchmarks.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -1602,6 +1603,13 @@ class Executor:
                     vals = [V.value] * n_sel
                 else:
                     vals = V if sel is None else [V[i] for i in sel]
+            if len(vp.order) == 1 and type(vals) is array and vals.typecode == "q":
+                # Integers only (a gathered run with no NULL and no
+                # escape-hatch value): order the positions by the values
+                # themselves.  Python's sort is stable with or without
+                # ``reverse``, so ties keep row order as the key path does.
+                order = sorted(range(n_sel), key=vals.__getitem__, reverse=descending)
+                return [projected[i] for i in order]
             if descending:
                 key_cols.append([_Reversor(sort_key(v)) for v in vals])
             else:

@@ -1029,17 +1029,27 @@ class ColumnTable(Table):
     def column_pure(self, position: int) -> bool:
         return self._cols[position].pure
 
-    def slots_of(self, rowids: Iterable[int]) -> Sequence[int]:
+    def slots_of(self, rowids: list[int]) -> Sequence[int]:
         """The slots holding ``rowids``, in the same order: a ``range``
         when they form one ascending run (a trial's rows appended in one
         bulk load), so that every column is sliced instead of gathered
-        slot by slot; a list otherwise."""
-        slots = list(map(self._slot_of.__getitem__, rowids))
-        if slots:
-            run = range(slots[0], slots[-1] + 1)
-            if len(run) == len(slots) and slots == list(run):
-                return run
-        return slots
+        slot by slot; a list otherwise.
+
+        The run is proved without a per-rowid lookup: the slots from
+        the first rowid's on must hold exactly ``rowids`` and all be
+        live.  A live slot is the one slot of its rowid; a dead one may
+        still hold a rowid that now lives in a later slot (a rolled-back
+        DELETE appends the row again), so it breaks the run.
+        """
+        if rowids:
+            first = self._slot_of[rowids[0]]
+            stop = first + len(rowids)
+            if (
+                self._slot_rowids[first:stop] == rowids
+                and self._live.find(0, first, stop) < 0
+            ):
+                return range(first, stop)
+        return list(map(self._slot_of.__getitem__, rowids))
 
     def column_gather(self, position: int, slots: Sequence[int]) -> Sequence[Any]:
         """One column's values at ``slots`` (see :meth:`slots_of`)."""

@@ -48,11 +48,13 @@ or via ``REPRO_FAULTS`` for subprocess harnesses::
 from __future__ import annotations
 
 import os
-import socket as _socket
 import struct as _struct
 import time as _time
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO, TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # _reset imports it: the WAL loads this module for crash points
+    import socket as _socket
 
 NET_MODES = ("drop", "delay", "trunc", "reset")
 
@@ -222,6 +224,8 @@ def fsync(fh: IO[bytes], point: str = "fsync") -> None:
 def _reset(sock: "_socket.socket") -> None:
     # SO_LINGER with a zero timeout makes close() send RST instead of
     # FIN — the peer sees ECONNRESET, exactly like a crashed box.
+    import socket as _socket
+
     try:
         sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_LINGER, _struct.pack("ii", 1, 0))
     except OSError:

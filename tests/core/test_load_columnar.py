@@ -376,6 +376,36 @@ class TestLocationRowLayouts:
         assert loaded.inclusive[0][3].tolist() == [0.0, 0.0]
         assert loaded.inclusive[1][3].tolist() == [500.5 + 1, 510.5 + 1]
 
+    def test_event_major_rows(self, session, experiment):
+        """Rows stored event by event, each event meeting the threads in
+        another order: a thread's rows are not adjacent, and the rows
+        that show the threads first are not the first rows."""
+        orders = [[2, 0, 3, 1], [1, 3, 0, 2], [3, 2, 1, 0]]
+        by_thread = cell_rows(THREADS, metrics=[0, 1], events=3)
+        rows = [
+            row
+            for e, order in enumerate(orders)
+            for t in order
+            for row in by_thread if row[0] == e and row[1] == THREADS[t]
+        ]
+        trial_id, _, _ = store_trial(
+            session, experiment, "event-major", ["TIME", "PAPI_FP_OPS"],
+            ["main", "work", "io"], rows,
+        )
+        loaded = assert_loads_like_reference(session, trial_id)
+        assert [tuple(t) for t in loaded.thread_triples.tolist()] == [
+            THREADS[t] for t in orders[0]
+        ]
+
+    def test_negative_node_context_and_thread_numbers(self, session, experiment):
+        threads = [(0, -1, 2), (-3, 0, 0), (2, 1, -5), (-3, -1, -5), (0, 0, 0)]
+        trial_id, _, _ = store_trial(
+            session, experiment, "negative", ["TIME"], ["main", "work"],
+            cell_rows(threads, metrics=[0]),
+        )
+        loaded = assert_loads_like_reference(session, trial_id)
+        assert [tuple(t) for t in loaded.thread_triples.tolist()] == threads
+
     def test_triples_too_wide_for_one_key(self, session, experiment):
         """Spans of node, context and thread whose product passes int64
         (one shared key would make (4, 0, 0) collide with (0, 0, 0)):

@@ -11,6 +11,8 @@ point in the statement lifecycle (execute vs fetch).
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.db import minisql
@@ -184,6 +186,96 @@ class TestProbeGather:
             outcomes = {m: _outcome(c, sql, ()) for m, c in trio.items()}
             assert len(set(map(repr, outcomes.values()))) == 1, (sql, outcomes)
         assert trio["columnar"].stats()["vector_selects"] == before + 3
+
+
+#: ORDER BY over tied keys.  Key 1's rows are one run of slots; keys 2
+#: and 3 were inserted alternately, so their slots are scattered.
+ORDER_CASES = [
+    "SELECT id, e FROM o WHERE k = 1 ORDER BY e",
+    "SELECT id, e FROM o WHERE k = 1 ORDER BY e DESC",
+    "SELECT id, r FROM o WHERE k = 1 ORDER BY e",
+    "SELECT id FROM o WHERE k = 1 ORDER BY e DESC",
+    "SELECT id, e FROM o WHERE k = 2 ORDER BY e",
+    "SELECT id, e FROM o WHERE k = 2 ORDER BY e DESC",
+    "SELECT id, r FROM o WHERE k = 1 ORDER BY r",
+    "SELECT id, r FROM o WHERE k = 1 ORDER BY r DESC",
+]
+
+
+class TestIntegerOrderBy:
+    """A vector plan sorts a NULL-free, escape-free INTEGER key by the
+    values themselves, and every other key by ``sort_key`` tuples; ties
+    must keep row order either way, ASC or DESC, as the row path does."""
+
+    @pytest.fixture
+    def trio(self, trio):
+        for conn in trio.values():
+            conn.execute(
+                "CREATE TABLE o (id INTEGER PRIMARY KEY, k INTEGER, "
+                "e INTEGER, r REAL)"
+            )
+            conn.execute("CREATE INDEX idx_o_k ON o (k)")
+            run = zip([3, 1, 3, 2, 1, 3, 2, 1],
+                      [1.5, math.nan, 0.5, 1.5, math.nan, 0.5, 2.0, 1.5])
+            conn.executemany(
+                "INSERT INTO o (k, e, r) VALUES (1, ?, ?)", list(run)
+            )
+            conn.executemany(
+                "INSERT INTO o (k, e, r) VALUES (?, ?, 0.0)",
+                [(2 + i % 2, [5, 4, 5, 4, 6, 5][i // 2]) for i in range(12)],
+            )
+            conn.commit()
+        return trio
+
+    @staticmethod
+    def assert_modes_agree(trio, sql):
+        """Every mode returns the same rows; returns how many ``sort_key``
+        calls the columnar mode's run made."""
+        from repro.db.minisql import executor
+
+        calls = []
+
+        def counting(value, _sort_key=executor.sort_key):
+            calls.append(value)
+            return _sort_key(value)
+
+        outcomes = {}
+        for mode, conn in trio.items():
+            if mode != "columnar":
+                outcomes[mode] = _outcome(conn, sql, ())
+                continue
+            _outcome(conn, sql, ())  # plan once, outside the count
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(executor, "sort_key", counting)
+                outcomes[mode] = _outcome(conn, sql, ())
+        assert outcomes["interpreted"][0] == "rows", outcomes
+        assert len(set(map(repr, outcomes.values()))) == 1, (sql, outcomes)
+        return len(calls)
+
+    @pytest.mark.parametrize("sql", ORDER_CASES)
+    def test_tied_keys_sort_alike(self, trio, sql):
+        before = trio["columnar"].stats()["vector_selects"]
+        calls = self.assert_modes_agree(trio, sql)
+        assert trio["columnar"].stats()["vector_selects"] == before + 2
+        if "k = 1 ORDER BY e" in sql:
+            assert calls == 0  # the integer run sorts without sort_key
+        else:
+            assert calls > 0  # scattered slots, or a REAL key
+
+    @pytest.mark.parametrize("value", [None, 2.5])
+    @pytest.mark.parametrize("key", ["e", "2", "e DESC", "2 DESC"])
+    def test_null_or_escape_hatch_key(self, trio, value, key):
+        """A NULL in the run, or 2.5 kept in the INTEGER column's escape
+        hatch, gathers the key as a list, which sorts by ``sort_key``
+        (``ORDER BY e`` over the impure column runs on the row path)."""
+        for conn in trio.values():
+            conn.execute("UPDATE o SET e = ? WHERE id = 4", (value,))
+            conn.commit()
+        sql = f"SELECT id, e FROM o WHERE k = 1 ORDER BY {key}"
+        before = trio["columnar"].stats()["vector_selects"]
+        assert self.assert_modes_agree(trio, sql) > 0
+        vectorized = value is None or key.startswith("2")
+        assert trio["columnar"].stats()["vector_selects"] == before + 2 * vectorized
 
 
 #: SELECTs guaranteed to fail on the `mix` fixture table (a text value

@@ -246,3 +246,21 @@ def test_slots_of_is_a_range_only_for_one_ascending_run():
     # Slots that cover a run but not in ascending order stay a list.
     table.renumber([1, 3, 2, 4])
     assert table.slots_of([1, 2, 3, 4]) == [0, 2, 1, 3]
+
+
+def test_a_dead_slot_inside_the_run_is_not_read(probe):
+    """A rolled-back DELETE appends row 8 again in a new slot and leaves
+    its dead slot inside key 2's run, still holding rowid 8: the slots
+    from row 6's on hold exactly rows 6-10, but one of them is dead."""
+    probe.execute("BEGIN")
+    probe.execute("DELETE FROM p WHERE id = 8")
+    probe.rollback()
+    probe.execute("UPDATE p SET v = 99.0 WHERE id = 8")
+    probe.commit()
+    if probe.mode == "columnar":
+        table = probe._raw._database.tables["p"]
+        assert type(table.slots_of([6, 7, 8, 9, 10])) is list
+        assert table.slots_of([6, 7]) == range(5, 7)
+    columns = assert_columns_are_transposed_rows(probe, SELECT_K, (2,))
+    assert list(columns[0]) == [6, 7, 8, 9, 10]
+    assert list(columns[2]) == [-2.0, -1.5, 99.0, -0.5, 0.0]

@@ -264,6 +264,26 @@ PROBE_CORPUS = [
     ("SELECT id FROM probe WHERE k = 99", ()),
     ("SELECT count(*), sum(r) FROM probe WHERE k = 99", ()),
     ("SELECT id FROM probe WHERE r > 100.0 ORDER BY id", ()),
+    # ORDER BY an INTEGER key.  Key 1's rows of ``ranked`` are one run
+    # of slots, so the vector plan sorts the gathered integers
+    # themselves; a NULL key, scattered slots, an escape-hatch value
+    # (probe.x holds 2.5) and a REAL key sort by ``sort_key``.
+    ("CREATE TABLE ranked (id INTEGER PRIMARY KEY, k INTEGER, e INTEGER, "
+     "r REAL)", ()),
+    ("CREATE INDEX idx_ranked_k ON ranked (k)", ()),
+    ("INSERT INTO ranked (id, k, e, r) VALUES (1, 1, 7, 0.5), "
+     "(2, 1, -3, 2.5), (3, 1, 12, 1.5), (4, 1, 0, -1.0), (5, 1, 5, 3.5)", ()),
+    ("INSERT INTO ranked (id, k, e, r) VALUES (6, 2, 4, 0.0), "
+     "(7, 3, 9, 0.0), (8, 2, NULL, 1.0), (9, 3, -1, 1.0), (10, 2, 2, 2.0)", ()),
+    ("SELECT id, e FROM ranked WHERE k = 1 ORDER BY e", ()),
+    ("SELECT id, e, r FROM ranked WHERE k = 1 ORDER BY e DESC", ()),
+    ("SELECT r FROM ranked WHERE k = ? ORDER BY e", (1,)),
+    ("SELECT id, r FROM ranked WHERE k = 1 ORDER BY id DESC", ()),
+    ("SELECT id, e FROM ranked WHERE k = 2 ORDER BY e", ()),
+    ("SELECT id, e FROM ranked WHERE k = 2 ORDER BY e DESC", ()),
+    ("SELECT id, r FROM ranked WHERE k = 1 ORDER BY r DESC", ()),
+    ("SELECT id, x FROM probe WHERE k = 1 ORDER BY x", ()),
+    ("SELECT id, x FROM probe WHERE k = 1 ORDER BY x DESC", ()),
     # ordered btree walks stream through the row path and stop early
     ("SELECT id, r FROM probe ORDER BY r LIMIT 3", ()),
     ("SELECT id, r FROM probe WHERE r > 1.0 ORDER BY r DESC LIMIT 2", ()),

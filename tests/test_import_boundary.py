@@ -87,11 +87,13 @@ def _run(child: str, *args: str):
 
 #: What a catalog command never runs: numpy, the importers, the bulk
 #: pipeline's process pool, the scaling models, the HTML report, the
-#: interactive shell, and the stdlib HTTP stack (telemetry, XML escaping).
+#: interactive shell, the stdlib HTTP stack (telemetry, XML escaping),
+#: sockets (the network fault shim) and, on a MiniSQL archive, sqlite3.
 NOT_IN_A_COLD_LIST = (
     "numpy", "repro.core.io_", "repro.core.parallel",
     "repro.core.toolkit.modeling", "repro.paraprof.htmlreport",
     "repro.paraprof.shell", "http.server", "urllib.request", "ssl",
+    "socket", "sqlite3",
 )
 
 #: ``python -m repro.cli ...`` as the child's own entry, through runpy
@@ -182,6 +184,30 @@ def test_cli_import_loads_no_numpy_importers_toolkit_or_http():
 
 def test_obs_import_leaves_http_server_out():
     assert _loaded("repro.obs", "http.server") == []
+
+
+def test_format_registry_import_leaves_the_http_stack_out():
+    """Only the CUBE writer escapes XML, and xml.sax.saxutils loads
+    urllib.request: a parse through the registry loads none of it."""
+    assert _loaded(
+        "repro.core.io_.registry", "ssl", "email", "http.client", "urllib.request"
+    ) == []
+
+
+def test_db_error_aliases_resolve_on_first_access():
+    """``repro.db`` loads no sqlite3 until an alias is named; then both
+    packages hand out the same tuple of both engines' classes."""
+    child = """
+import json, sys
+import repro.db, repro.db.api
+before = "sqlite3" in sys.modules
+import sqlite3
+from repro.db import IntegrityError
+from repro.db.minisql import errors
+print(json.dumps([before, IntegrityError is repro.db.api.IntegrityError,
+                  IntegrityError == (sqlite3.IntegrityError, errors.IntegrityError)]))
+"""
+    assert _run(child) == [False, True, True]
 
 
 def test_cold_list_process_loads_only_what_it_runs(tmp_path):
